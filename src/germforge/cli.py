@@ -4,8 +4,7 @@
               [--exact-only] [--emit-certificate PATH] <inputs>
 
 Commands: decompose, ratio, witness, search, codim, puiseux, lift,
-pipeline.  All formats are bit-exact rational text; the environment
-variable GERMFORGE_THREADS caps worker parallelism in searches.
+pipeline.  All formats are bit-exact rational text.
 Exit codes: 0 success / certified witness, 2 no-witness-at-these-bounds
 (not a finite-type claim), 1 error."""
 
@@ -19,9 +18,16 @@ from . import formats
 from .errors import GermforgeError
 from .hermitian import decompose
 from .ideals import codimension
-from .pipeline import BUNDLE_HEADER, JobSpec, recheck_bundle, run_pipeline
-from .typeengine import dangelo_ratio, witness_check
+from .pipeline import (
+    BUNDLE_HEADER,
+    JobSpec,
+    check_base_point,
+    recheck_bundle,
+    run_pipeline,
+)
+from .typeengine import dangelo_ratio, monomial_curve_search, witness_check
 from .weierstrass import (
+    associated_membership,
     generic_restrict,
     newton_puiseux,
     prime_curve_lift,
@@ -83,6 +89,7 @@ def run_job(job: JobSpec) -> int:
     if job.command == "ratio":
         _need(job, 2, "a hermitian form file and a curve file")
         r = formats.parse_hermitian(_read(job.inputs[0]))
+        check_base_point(r)
         curve = formats.parse_curve(_read(job.inputs[1]))
         print(f"ratio: {dangelo_ratio(r, curve)}")
         return 0
@@ -107,8 +114,6 @@ def run_job(job: JobSpec) -> int:
     if job.command == "search":
         _need(job, 1, "a hermitian form file")
         r = formats.parse_hermitian(_read(job.inputs[0]))
-        from .typeengine import monomial_curve_search
-
         results = monomial_curve_search(r, job.A, job.d)
         for curve, ratio in results[:12]:
             comps = ", ".join(formats.format_series(c, ["t"]) for c in curve.components)
@@ -145,23 +150,11 @@ def run_job(job: JobSpec) -> int:
         branches = newton_puiseux(
             line.restricted, min(job.N, line.restricted.precision), exact_only=True
         )
-        from .series import TruncSeries
-
         lifted = None
         for b in branches:
-            prec = b.w.precision
-            comps = [
-                TruncSeries.monomial(1, prec, (b.ramification,), v)
-                if v
-                else TruncSeries.zero(1, prec)
-                for v in line.direction
-            ]
-            comps.append(b.w.with_precision(prec))
-            from .series import FormalCurve
-
             try:
-                base_curve = FormalCurve(comps)
-                lifted = prime_curve_lift(nf, base_curve, min(job.N, prec))
+                curve = b.curve(line.direction)
+                lifted = prime_curve_lift(nf, curve, min(job.N, b.w.precision))
                 break
             except GermforgeError:
                 continue
@@ -173,8 +166,6 @@ def run_job(job: JobSpec) -> int:
         print(f"divisor order on curve: {lifted.divisor_order}")
         for label, order in lifted.generator_orders.items():
             print(f"{label} vanishes through order {order}")
-        from .weierstrass import associated_membership
-
         level = min(job.N, ideal.precision)
         for idx, gen in enumerate(ideal.generators):
             found = associated_membership(gen, nf, job.maxnu, level)
@@ -198,7 +189,6 @@ def run_job(job: JobSpec) -> int:
             A=job.A,
             d=job.d,
             bound=job.bound,
-            exact_only=job.exact_only,
             r_text=r_text,
         )
         print(result.bundle, end="")

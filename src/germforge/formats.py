@@ -41,10 +41,6 @@ from .series import FormalCurve, TruncSeries, degree_key
 # ---------------------------------------------------------------------------
 
 
-def format_gauss(c: GaussianRational) -> str:
-    return str(c)
-
-
 def _coeff_literal(c: GaussianRational) -> str:
     if c.re != 0 and c.im != 0:
         return f"({c})"
@@ -536,22 +532,33 @@ def _shifted_monomial(
     return out
 
 
+def _holomorphic_series(
+    terms, nvars: int, precision: int, where: _Tok, what: str, base=None
+) -> TruncSeries:
+    """Sum parsed terms into one series, each monomial re-expanded around
+    ``base`` when one is given; a zbar factor is a ParseError at ``where``."""
+    out: Dict[tuple, GaussianRational] = {}
+    for c, J, K in terms:
+        if any(K):
+            raise ParseError(f"{what} are holomorphic: zbar factors are not allowed",
+                             where.line, where.col)
+        if base is None:
+            out[J] = out.get(J, ZERO) + c
+        else:
+            for E, v in _shifted_monomial(nvars, precision, J, base).coeffs.items():
+                out[E] = out.get(E, ZERO) + c * v
+    return TruncSeries(nvars, precision, out)
+
+
 def parse_series(text: str) -> TruncSeries:
     """Series literal file: header plus holomorphic terms (no zbar)."""
     P = _Parser(text)
+    start = P.peek()
     nvars, precision, base = _parse_header(P)
     terms = _parse_terms(P, nvars)
     P.accept(";")
     P.expect("EOF", what="end of file")
-    out = TruncSeries.zero(nvars, precision)
-    for c, J, K in terms:
-        if any(K):
-            raise ParseError("zbar factors are not allowed in a holomorphic series", 1, 1)
-        if base is None:
-            out = out + TruncSeries.monomial(nvars, precision, J, c)
-        else:
-            out = out + _shifted_monomial(nvars, precision, J, base).scale(c)
-    return out
+    return _holomorphic_series(terms, nvars, precision, start, "series files", base)
 
 
 def parse_hermitian(text: str) -> "HermitianForm":
@@ -607,11 +614,9 @@ def parse_curve(text: str) -> FormalCurve:
         P.expect("=")
         terms = _parse_terms(P, 1)
         P.expect(";")
-        s = TruncSeries.zero(1, precision)
-        for c, J, K in terms:
-            if any(K):
-                raise ParseError("curve components are holomorphic in t", t.line, t.col)
-            s = s + TruncSeries.monomial(1, precision, J, c)
+        s = _holomorphic_series(terms, 1, precision, t, "curve components")
+        if s.constant_term():
+            raise ParseError(f"component z{idx + 1} does not vanish at t = 0", t.line, t.col)
         comps[idx] = s
     missing = [i + 1 for i in range(nvars) if i not in comps]
     if missing:
@@ -635,12 +640,7 @@ def parse_ideal(text: str) -> "IdealPresentation":
             P.next()
             terms = _parse_terms(P, nvars)
             P.expect(";")
-            s = TruncSeries.zero(nvars, precision)
-            for c, J, K in terms:
-                if any(K):
-                    raise ParseError("ideal generators are holomorphic", t.line, t.col)
-                s = s + TruncSeries.monomial(nvars, precision, J, c)
-            gens.append(s)
+            gens.append(_holomorphic_series(terms, nvars, precision, t, "ideal generators"))
             continue
         if t.kind == "IDENT" and t.value == "normal_form":
             P.next()
@@ -653,35 +653,24 @@ def parse_ideal(text: str) -> "IdealPresentation":
             relations: List[Tuple[int, TruncSeries]] = []
             while not P.accept("}"):
                 key = P.expect("IDENT", what="'p', 'D' or 'Q'")
-                if key.value == "p":
-                    P.expect("=")
-                    terms = _parse_terms(P, k + 1)
-                    P.expect(";")
-                    s = TruncSeries.zero(k + 1, precision)
-                    for c, J, K in terms:
-                        s = s + TruncSeries.monomial(k + 1, precision, J, c)
-                    deg = max(J[-1] for J in s.coeffs) if s.coeffs else 0
-                    p_poly = WeierstrassPoly.from_series(s, deg)
-                elif key.value == "D":
-                    P.expect("=")
-                    terms = _parse_terms(P, k)
-                    P.expect(";")
-                    disc = TruncSeries.zero(k, precision)
-                    for c, J, K in terms:
-                        disc = disc + TruncSeries.monomial(k, precision, J, c)
-                elif key.value == "Q":
-                    j = P.expect("NUM", what="the variable index").value
-                    P.expect("=")
-                    terms = _parse_terms(P, nvars)
-                    P.expect(";")
-                    s = TruncSeries.zero(nvars, precision)
-                    for c, J, K in terms:
-                        s = s + TruncSeries.monomial(nvars, precision, J, c)
-                    relations.append((j, s))
-                else:
+                entry_vars = {"p": k + 1, "D": k, "Q": nvars}.get(key.value)
+                if entry_vars is None:
                     raise ParseError(
                         f"unknown normal_form key {key.value!r}", key.line, key.col
                     )
+                if key.value == "Q":
+                    j = P.expect("NUM", what="the variable index").value
+                P.expect("=")
+                terms = _parse_terms(P, entry_vars)
+                P.expect(";")
+                s = _holomorphic_series(terms, entry_vars, precision, key, "normal_form entries")
+                if key.value == "p":
+                    deg = max(J[-1] for J in s.coeffs) if s.coeffs else 0
+                    p_poly = WeierstrassPoly.from_series(s, deg)
+                elif key.value == "D":
+                    disc = s
+                else:
+                    relations.append((j, s))
             if p_poly is None or disc is None:
                 raise ParseError("normal_form needs both p and D", t.line, t.col)
             nf = NormalForm(nvars, k, p_poly, disc, relations)

@@ -12,6 +12,7 @@ the standard Nakayama argument for complete local rings.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,7 +58,7 @@ class IdealPresentation:
     certified precision.  ``normal_form`` optionally carries user-supplied
     Weierstrass data (see the weierstrass module)."""
 
-    __slots__ = ("nvars", "generators", "precision", "normal_form", "_spans")
+    __slots__ = ("nvars", "generators", "precision", "normal_form", "_span")
 
     def __init__(
         self,
@@ -82,17 +83,18 @@ class IdealPresentation:
         self.generators = tuple(g.with_precision(prec) for g in gens)
         self.precision = prec
         self.normal_form = normal_form
-        self._spans: Dict[int, "JetSpan"] = {}
+        self._span: Optional["JetSpan"] = None
 
     def span(self, k: int) -> "JetSpan":
-        """Row-reduced span of { jet_k(m * g) } with combination tracking;
-        cached per level."""
+        """Row-reduced span of { jet_L(m * g) } with combination tracking, at
+        the deepest level L >= k asked for so far.  One span serves every
+        level <= L (see :meth:`JetSpan.express`); it is rebuilt only when a
+        deeper level is asked for."""
         if k > self.precision:
             raise PrecisionError(
                 f"membership level {k} exceeds ideal precision {self.precision}"
             )
-        got = self._spans.get(k)
-        if got is None:
+        if self._span is None or self._span.level < k:
             got = JetSpan(self.nvars, k)
             for idx, g in enumerate(self.generators):
                 o = g.order()
@@ -100,8 +102,8 @@ class IdealPresentation:
                     continue
                 for m in monomials_up_to(self.nvars, k - o):
                     got.insert(_mono_times(g, m, k), {(idx, m): ONE})
-            self._spans[k] = got
-        return got
+            self._span = got
+        return self._span
 
     def __str__(self) -> str:
         from .formats import format_ideal
@@ -122,22 +124,24 @@ def _mono_times(g: TruncSeries, m: Multidegree, k: int) -> Dict[Multidegree, Gau
 
 
 class JetSpan:
-    """Echelonized row space over the degree <= k monomial basis.
+    """Echelonized row space over the degree <= level monomial basis.
 
     Rows are normalized to leading coefficient 1 with the pivot at the
     smallest multidegree in the fixed total order; each row remembers the
-    combination of original (generator, monomial) products producing it."""
+    combination of original (generator, monomial) products producing it.
+
+    The order is graded, so truncating the rows to degree <= k drops exactly
+    the rows pivoting above degree k and leaves an echelon basis of the
+    level-k span: every shallower level, and its rank (the number of pivots
+    of degree <= k), is read from this one elimination."""
 
     def __init__(self, nvars: int, level: int):
         self.nvars = nvars
         self.level = level
         self.rows: Dict[Multidegree, Tuple[dict, dict]] = {}
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, vec: dict, combo: dict):
+    def _reduce(self, vec: dict, combo: dict, k: Optional[int] = None):
+        """Reduce against the rows truncated to degree <= k (None: untruncated)."""
         vec = dict(vec)
         combo = dict(combo)
         while vec:
@@ -147,6 +151,8 @@ class JetSpan:
                 return vec, combo, lead
             rvec, rcombo = got
             factor = vec[lead]
+            if k is not None:
+                rvec = {J: c for J, c in rvec.items() if sum(J) <= k}
             for J, c in rvec.items():
                 v = vec.get(J, ZERO) - factor * c
                 if v:
@@ -172,13 +178,16 @@ class JetSpan:
         self.rows[lead] = (vec, combo)
         return True
 
-    def express(self, vec: dict):
-        """Reduce a vector against the span.
+    def express(self, vec: dict, k: int):
+        """Reduce a vector over the degree <= k monomials against the level-k
+        span (k <= level).
 
         Returns (residue, combination): residue empty means the vector lies
         in the span and equals sum combination[(gen, mono)] * z^mono * g_gen
-        modulo degrees > level."""
-        residue, combo, _ = self._reduce(vec, {})
+        modulo degrees > k."""
+        if k > self.level:
+            raise PrecisionError(f"level {k} exceeds span level {self.level}")
+        residue, combo, _ = self._reduce(vec, {}, k if k < self.level else None)
         combination = {key: -c for key, c in combo.items()}
         return residue, combination
 
@@ -199,8 +208,7 @@ def membership_jet(f: TruncSeries, I: IdealPresentation, k: int) -> MembershipRe
         raise DimensionMismatch("series and ideal in different variable counts")
     if k > f.precision:
         raise PrecisionError(f"membership level {k} exceeds series precision")
-    span = I.span(k)
-    residue, combination = span.express(dict(f.jet(k).coeffs))
+    residue, combination = I.span(k).express(dict(f.jet(k).coeffs), k)
     if residue:
         return MembershipResult(False, k, None, TruncSeries(I.nvars, k, residue))
     return MembershipResult(True, k, combination, None)
@@ -267,9 +275,14 @@ def codimension(I: IdealPresentation, bound: int) -> CodimReport:
         raise PrecisionError(
             f"bound {bound} exceeds ideal precision {I.precision}"
         )
-    dims = []
-    for k in range(1, bound + 1):
-        dims.append(count_monomials(I.nvars, k - 1) - I.span(k - 1).rank)
+    level = bound - 1
+    span = I.span(level)
+    # dims[k] = dim O/(I + M0^(k+1)): monomials minus pivots of degree <= k
+    pivot_degrees = sorted(sum(P) for P in span.rows)
+    dims = [
+        count_monomials(I.nvars, k) - bisect_right(pivot_degrees, k)
+        for k in range(bound)
+    ]
 
     stab = None
     for k in range(1, bound):
@@ -279,14 +292,12 @@ def codimension(I: IdealPresentation, bound: int) -> CodimReport:
 
     if stab is not None:
         value = dims[stab - 1]
-        level = bound - 1
-        span = I.span(level)
         var_certs: List[VariableCertificate] = []
         for j in range(I.nvars):
             found = None
             for e in range(1, min(value, level) + 1):
                 m = tuple(e if i == j else 0 for i in range(I.nvars))
-                residue, combo = span.express({m: ONE})
+                residue, combo = span.express({m: ONE}, level)
                 if not residue:
                     found = VariableCertificate(j, e, combo)
                     break
@@ -327,7 +338,7 @@ def max_power_subset(I: IdealPresentation, ell: int, k: int) -> bool:
         raise PrecisionError(f"level {k} exceeds ideal precision")
     span = I.span(k)
     for m in monomials_of_degree(I.nvars, ell):
-        residue, _ = span.express({m: ONE})
+        residue, _ = span.express({m: ONE}, k)
         if residue:
             return False
     return True

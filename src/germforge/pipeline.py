@@ -82,9 +82,14 @@ def _permute_vars(s: TruncSeries, perm: Tuple[int, ...]) -> TruncSeries:
     return TruncSeries(s.nvars, s.precision, out)
 
 
-def _principal_branch_curves(
-    g: TruncSeries, N: int, exact_only: bool
-) -> List[FormalCurve]:
+def check_base_point(r: HermitianForm) -> None:
+    """Contact orders are measured at the base point, so the defining form
+    has to vanish there."""
+    if r.coeff((0,) * r.nvars, (0,) * r.nvars):
+        raise GermforgeError("the defining form must vanish at the base point")
+
+
+def _principal_branch_curves(g: TruncSeries, N: int) -> List[FormalCurve]:
     """Candidate curves annihilating a single generator: prepare it in some
     variable, restrict the base to a generic line, expand the branches."""
     n = g.nvars
@@ -103,22 +108,11 @@ def _principal_branch_curves(
         for b in branches:
             if not b.is_exact:
                 continue
-            prec = b.w.precision
-            comps = [
-                TruncSeries.monomial(1, prec, (b.ramification,), v) if v else TruncSeries.zero(1, prec)
-                for v in line.direction
-            ]
-            comps.append(b.w.with_precision(prec))
+            comps = b.curve(line.direction).components
             if all(c.is_zero() for c in comps):
                 continue
-            # undo the variable swap
-            curve_perm = [None] * n
-            for i in range(n):
-                curve_perm[perm[i]] = comps[i]
-            try:
-                curves.append(FormalCurve(curve_perm))
-            except ValueError:
-                continue
+            # undo the variable swap (a transposition, so its own inverse)
+            curves.append(FormalCurve([comps[perm[i]] for i in range(n)]))
         if curves:
             return curves
     return curves
@@ -130,16 +124,13 @@ def run_pipeline(
     A: int = 3,
     d: int = 2,
     bound: int = 8,
-    exact_only: bool = False,
     U: Optional[UnitaryBlock] = None,
     r_text: Optional[str] = None,
 ) -> PipelineResult:
     """Full witness pipeline on a defining form; see the module docstring."""
     if r.is_zero():
         raise GermforgeError("the input form is empty (zero through precision)")
-    zero0 = ((0,) * r.nvars, (0,) * r.nvars)
-    if r.coeff(*zero0):
-        raise GermforgeError("the defining form must vanish at the base point")
+    check_base_point(r)
     if r.precision < N:
         raise PrecisionError(
             f"input precision {r.precision} cannot certify order {N}; "
@@ -158,7 +149,7 @@ def run_pipeline(
     if codim_rep.verdict != "finite":
         nonzero = [g for g in ideal.generators if not g.is_zero()]
         if len(nonzero) == 1:
-            for c in _principal_branch_curves(nonzero[0], N, exact_only):
+            for c in _principal_branch_curves(nonzero[0], N):
                 candidates.append(c)
 
     witness: Optional[WitnessResult] = None

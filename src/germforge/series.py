@@ -250,13 +250,6 @@ class TruncSeries:
             return self
         return self.jet(min(k, self.precision))
 
-    def extended(self, k: int) -> "TruncSeries":
-        """Declare knowledge up to degree k (caller asserts the tail is zero;
-        legitimate for polynomial data only)."""
-        if k <= self.precision:
-            return self.with_precision(k)
-        return TruncSeries(self.nvars, k, dict(self.coeffs))
-
     # -- univariate helpers ----------------------------------------------------------
 
     def shift(self, e: int) -> "TruncSeries":

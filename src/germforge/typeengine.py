@@ -9,8 +9,6 @@ the stated N, never as a completed infinite statement.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -28,19 +26,6 @@ from .errors import (
 from .hermitian import Decomposition, HermitianForm
 from .ideals import IdealPresentation
 from .series import FormalCurve, TruncSeries, exponent_tuples, pullback
-
-
-def _pmap(fn, items):
-    """Map honoring the GERMFORGE_THREADS worker cap."""
-    try:
-        workers = int(os.environ.get("GERMFORGE_THREADS", "1") or "1")
-    except ValueError:
-        workers = 1
-    items = list(items)
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +269,7 @@ def monomial_curve_search(
         curve = _refine_curve(r, curve, exps, max_coeff_degree)
         return curve, dangelo_ratio(r, curve)
 
-    results = _pmap(score, exponent_tuples(n, max_exponent))
+    results = [score(exps) for exps in exponent_tuples(n, max_exponent)]
     results.sort(key=lambda cr: cr[1].sort_key(), reverse=True)
     return results
 

@@ -571,13 +571,14 @@ class PuiseuxBranch:
     def is_exact(self) -> bool:
         return self.mode == "exact"
 
-    def curve(self, precision: Optional[int] = None) -> FormalCurve:
-        """(t^d, w(t)) as an exact FormalCurve."""
+    def curve(self, direction: Sequence = (1,)) -> FormalCurve:
+        """(v_1 t^d, .., v_k t^d, w(t)) as an exact FormalCurve: the branch
+        embedded along the base line with direction v (default (t^d, w))."""
         if not self.is_exact:
             raise ExactnessError("floating branch cannot become an exact curve")
-        prec = self.w.precision if precision is None else precision
-        tpart = TruncSeries.monomial(1, prec, (self.ramification,))
-        return FormalCurve([tpart, self.w.with_precision(prec)])
+        prec = self.w.precision
+        comps = [TruncSeries.monomial(1, prec, (self.ramification,), v) for v in direction]
+        return FormalCurve(comps + [self.w])
 
     def __str__(self) -> str:
         from .formats import format_branch

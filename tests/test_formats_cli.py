@@ -93,6 +93,27 @@ normal_form {
     assert [g.coeffs for g in back.generators] == [g.coeffs for g in I.generators]
 
 
+NF_WITH = """vars 3; N=12;
+gen z2^2 - z1^2;
+normal_form {{
+  free 1;
+  p = {p};
+  D = {D};
+  Q 3 = {Q};
+}}
+"""
+
+
+@pytest.mark.parametrize("entry", ["p", "D", "Q"])
+def test_parse_normal_form_rejects_zbar(entry):
+    fields = {"p": "z2^2 - z1^2", "D": "4*z1^2", "Q": "4*z1^2*z2"}
+    assert formats.parse_ideal(NF_WITH.format(**fields)).normal_form is not None
+    fields[entry] = {"p": "z2^2 - zbar1^2", "D": "4*zbar1^2", "Q": "4*zbar1^2*z2"}[entry]
+    with pytest.raises(ParseError) as e:
+        formats.parse_ideal(NF_WITH.format(**fields))
+    assert e.value.line == {"p": 5, "D": 6, "Q": 7}[entry]
+
+
 # ---------------------------------------------------------------------------
 # round trips
 # ---------------------------------------------------------------------------
@@ -208,6 +229,26 @@ def test_cli_error_exit_one(workdir, capsys):
     code = main(["pipeline", "--N", "5", str(empty)])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_curve_with_constant_term_exit_one(workdir, capsys):
+    bad = workdir / "offset.germ"
+    bad.write_text("vars 3; N=20;\nz1 = 1 + t;\nz2 = t^2;\nz3 = 0;\n")
+    code = main(["ratio", str(workdir / "r.germ"), str(bad)])
+    assert code == 1
+    assert "does not vanish at t = 0" in capsys.readouterr().err
+
+
+def test_cli_ratio_rejects_form_off_the_hypersurface(workdir, capsys):
+    off = workdir / "off.germ"
+    off.write_text("vars 1; N=8;\n+ 1 z1 zbar1 + 1;\n")
+    curve = workdir / "line.germ"
+    curve.write_text("vars 1; N=8;\nz1 = t;\n")
+    code = main(["ratio", str(off), str(curve)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "must vanish at the base point" in captured.err
+    assert "ratio" not in captured.out
 
 
 def test_cli_missing_file(workdir, capsys):

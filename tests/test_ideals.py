@@ -6,6 +6,7 @@ from germforge.coeffs import ONE
 from germforge.errors import ImproperIdealError, PrecisionError
 from germforge.ideals import (
     IdealPresentation,
+    JetSpan,
     codimension,
     count_monomials,
     intersection_diagnostic,
@@ -142,6 +143,74 @@ def test_codimension_principal_binomial_unresolved():
     assert rep.verdict == "unresolved"
     assert rep.dims[0] == 1
     assert rep.dims[3] == 7  # 2k-1 for k >= 2
+
+
+# ---------------------------------------------------------------------------
+# one jet span per ideal
+# ---------------------------------------------------------------------------
+
+
+SPAN_IDEALS = [
+    # finite: (z1 - z2 + z1^2, z2^2 + z1 z2)
+    (2, [{(1, 0): ONE, (0, 1): -ONE, (2, 0): ONE}, {(0, 2): ONE, (1, 1): ONE}]),
+    # unresolved principal cusp
+    (2, [{(2, 0): ONE, (0, 3): -ONE}]),
+    # finite in three variables, mixed degrees
+    (3, [{(1, 0, 0): ONE, (0, 2, 0): ONE}, {(0, 1, 1): ONE}, {(0, 0, 3): ONE, (0, 3, 0): ONE}]),
+]
+
+
+@pytest.mark.parametrize("nvars,gens", SPAN_IDEALS)
+def test_span_levels_read_from_one_span(nvars, gens):
+    def fresh():
+        return ideal(nvars, 14, *gens)
+
+    bound = 8
+    probes = [
+        mono(nvars, 14, (3,) + (0,) * (nvars - 1)),
+        mono(nvars, 14, (0,) * (nvars - 1) + (1,)),
+        series(nvars, 14, {(1,) + (0,) * (nvars - 1): ONE, (0,) * (nvars - 1) + (2,): ONE}),
+    ]
+
+    def report_key(rep):
+        certs = [(vc.variable, vc.exponent) for vc in rep.variable_certificates]
+        return rep.dims, rep.verdict, rep.value, rep.certificate_level, certs
+
+    I = fresh()
+    first = codimension(I, bound)
+    assert report_key(first) == report_key(codimension(fresh(), bound))
+    for k in (4, 11):  # shallower, then deeper than the codimension span
+        for f in probes:
+            got = membership_jet(f, I, k)
+            assert got.contained == membership_jet(f, fresh(), k).contained
+            if got.contained:
+                assert verify_combination(f, I, got.combination, k)
+    again = codimension(I, bound)
+    assert I.span(bound - 1).level == 11
+    assert report_key(again) == report_key(first)
+    for vc in again.variable_certificates:
+        zje = mono(nvars, 14, tuple(vc.exponent if i == vc.variable else 0 for i in range(nvars)))
+        assert verify_combination(zje, I, vc.combination, bound - 1)
+
+
+def test_codimension_is_one_elimination(monkeypatch):
+    levels = []
+    insert = JetSpan.insert
+
+    def counting_insert(self, vec, combo):
+        levels.append(self.level)
+        return insert(self, vec, combo)
+
+    monkeypatch.setattr(JetSpan, "insert", counting_insert)
+    nvars, gens = SPAN_IDEALS[2]
+    bound = 8
+    ideal(nvars, 14, *gens).span(bound - 1)
+    one_build = len(levels)
+    levels.clear()
+    rep = codimension(ideal(nvars, 14, *gens), bound)
+    assert rep.verdict == "finite"
+    assert len(levels) == one_build
+    assert set(levels) == {bound - 1}
 
 
 # ---------------------------------------------------------------------------

@@ -361,8 +361,7 @@ def test_jet_vectors_of_witness_decomposition_match():
         assert err <= 1e-10
 
 
-def test_search_thread_cap_respected(monkeypatch):
-    monkeypatch.setenv("GERMFORGE_THREADS", "2")
+def test_search_first_power_best_ratio_two():
     r = form_power(1, precision=10)
     results = monomial_curve_search(r, 2, 1)
     assert results[0][1].value == 2
