@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs: a parent git ref against the working tree.
+
+Exports the parent ref with ``git archive`` into a temporary directory
+(under $TMPDIR), then runs ``perfbench/run.py`` from the
+parent tree and from the working tree alternately: pair i uses seed
+seeds[i % len(seeds)], and odd pairs run the working tree first, so slow
+drift of the host hits both sides alike.  For every metric in the runs'
+final JSON line it prints each side's median and quartiles, the change of
+the medians, and in how many pairs the working tree was better (in the
+direction BENCHMARK.json gives the metric).
+
+Usage:
+    python3 scripts/bench_pairs.py --parent HEAD~1 --workload algebra \\
+        --seeds 101,202,303,404 --pairs 10 [--seconds 25] [--trace 0]
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def export_ref(ref: str) -> Path:
+    """The committed files of ``ref`` in a fresh temporary directory."""
+    blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
+                          check=True, capture_output=True).stdout
+    dest = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest)
+    return dest
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run from ``tree``; returns its final JSON object."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"perfbench failed in {tree} (exit {proc.returncode}):\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def quartiles(xs: list) -> tuple:
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git ref to compare against")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", default="101", help="comma-separated seeds, used in turn")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=25)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = ap.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {row["name"]: row["better"] for row in spec["end_to_end"] + spec["per_layer"]}
+    seeds = [int(s) for s in args.seeds.split(",")]
+    parent = export_ref(args.parent)
+    runs = {"parent": [], "change": []}
+    try:
+        for i in range(args.pairs):
+            seed = seeds[i % len(seeds)]
+            order = [("parent", parent), ("change", ROOT)]
+            for side, tree in order if i % 2 == 0 else order[::-1]:
+                got = run_once(tree, args.workload, seed, args.seconds, args.trace)
+                runs[side].append(got)
+            values = {side: {k: v["value"] for k, v in runs[side][-1]["metrics"].items()}
+                      for side in runs}
+            print(f"pair {i + 1} seed {seed}: " + "  ".join(
+                f"{name} {values['parent'][name]:.4g} -> {values['change'][name]:.4g}"
+                for name in values["parent"]), flush=True)
+    finally:
+        shutil.rmtree(parent, ignore_errors=True)
+
+    print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seeds}, "
+          f"parent {args.parent}, --seconds {args.seconds:g} --trace {args.trace}")
+    print(f"correct: parent {all(r['correct'] for r in runs['parent'])}, "
+          f"change {all(r['correct'] for r in runs['change'])}")
+    print(f"{'metric':34} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
+          f"{'change':>8} {'wins':>7}")
+    summary = {}
+    for name in runs["parent"][0]["metrics"]:
+        p = [r["metrics"][name]["value"] for r in runs["parent"]]
+        c = [r["metrics"][name]["value"] for r in runs["change"]]
+        sign = -1 if better.get(name) == "lower" else 1
+        wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+        (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
+        rel = (cm - pm) / pm if pm else float("nan")
+        pcol, ccol = f"{pm:.4g} [{p1:.4g}, {p3:.4g}]", f"{cm:.4g} [{c1:.4g}, {c3:.4g}]"
+        print(f"{name:34} {pcol:>30} {ccol:>30} {rel:+8.1%} {wins:>4}/{len(p)}")
+        summary[name] = {"parent": p, "change": c, "wins": wins}
+    print(json.dumps(summary))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

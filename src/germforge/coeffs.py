@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from .errors import ExactnessError
+
 RatLike = Union[int, Fraction]
 
 
@@ -104,7 +106,10 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise ExactnessError(f"coefficient {self} is outside the floating range") from None
 
     # -- display -----------------------------------------------------------
 

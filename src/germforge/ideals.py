@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .coeffs import GaussianRational, ZERO, ONE
 from .errors import (
     DimensionMismatch,
+    GermforgeError,
     ImproperIdealError,
     PrecisionError,
 )
@@ -270,7 +271,7 @@ def codimension(I: IdealPresentation, bound: int) -> CodimReport:
     ideal at the deepest level, and (c) some full monomial layer M0^l is
     certified inside the ideal, which is sound at jet level."""
     if bound < 1:
-        raise ValueError("bound must be >= 1")
+        raise GermforgeError(f"codimension bound must be >= 1, got {bound}")
     if bound > I.precision:
         raise PrecisionError(
             f"bound {bound} exceeds ideal precision {I.precision}"

@@ -448,8 +448,14 @@ def _ser_coeff(s: Ser, e: int):
     return s.coeff(e)
 
 
-def _zero_ser(prec: int, exact: bool) -> Ser:
-    return TruncSeries.zero(1, prec) if exact else FloatSeries(prec, {})
+def _const_ser(prec: int, c, exact: bool) -> Ser:
+    return TruncSeries.constant(1, prec, c) if exact else FloatSeries.constant(prec, c)
+
+
+def _ser_pad(s: Ser, k: int) -> Ser:
+    """s restated at precision k >= s.precision with its unknown tail read
+    as zero: only for iterates, never for certified data."""
+    return TruncSeries(1, k, s.coeffs) if _is_exact(s) else FloatSeries(k, s.coeffs)
 
 
 def _to_float_list(coeffs: List[Ser]) -> List[FloatSeries]:
@@ -589,28 +595,38 @@ class PuiseuxBranch:
 
 
 def _regular_root(coeffs: List[Ser], N: int, exact: bool) -> Ser:
-    """Order-by-order solution w(t), w(0) = 0, of sum c_i w^i = 0 when the
-    vanishing root is simple (c_0(0) = 0, c_1(0) invertible)."""
-    c1_0 = _ser_coeff(coeffs[1], 0)
-    w = _zero_ser(N, exact)
-    for e in range(1, N + 1):
-        res = coeffs[0]
-        wp = w
-        for i in range(1, len(coeffs)):
-            if not coeffs[i].is_zero():
-                res = res + _ser_trunc(coeffs[i] * wp, N)
-            if i + 1 < len(coeffs):
-                wp = _ser_trunc(wp * w, N)
-        ce = _ser_coeff(res, e)
-        if exact:
-            if not ce:
-                continue
-            w = w + TruncSeries.monomial(1, N, (e,), -(ce / c1_0))
-        else:
-            if abs(ce) <= FLOAT_ZERO_EPS:
-                continue
-            w = w + FloatSeries(N, {e: -(ce / c1_0)})
-    return w
+    """The solution w(t), w(0) = 0, of P(w) = sum c_i w^i = 0 when the
+    vanishing root is simple (c_0(0) = 0, c_1(0) invertible).
+
+    Precision-doubling Newton iteration (Kung-Traub, J. ACM 25, 1978) with
+    a coupled inverse: v ~ 1/P'(w) is refreshed by v <- v (2 - P'(w) v)
+    through the current precision a, then w <- w - v P(w) through 2a + 1,
+    for a = 0, 1, 3, 7, .. up to M.  P(w) and P'(w) come from one Horner
+    pass.  M is the smallest precision among c_0 and the nonzero c_i,
+    capped at N; w is returned at precision N, with no terms of degree 0
+    or above M.  A floating coefficient w_e is dropped when its share
+    c_1(0) w_e of the residual is at most FLOAT_ZERO_EPS."""
+    M = min([N, coeffs[0].precision] + [c.precision for c in coeffs[1:] if not c.is_zero()])
+    cs = [coeffs[0]] + [_const_ser(M, 0, exact) if c.is_zero() else c for c in coeffs[1:]]
+    # w and v are our own iterates: restated at precision M, tails read as 0
+    w = _const_ser(M, 0, exact)
+    c1_0 = _ser_coeff(cs[1], 0)
+    v = _const_ser(M, 1 / c1_0, exact)
+    a = 0
+    while a < M:
+        p = min(2 * a + 1, M)
+        wp, wa = _ser_trunc(w, p), _ser_trunc(w, a)
+        r = d = cs[-1]
+        for c in reversed(cs[1:-1]):
+            r = r * wp + c
+            d = d * wa + r
+        r = r * wp + cs[0]
+        v = _ser_pad(v.scale(2) - v * _ser_trunc(d * v, a), M)
+        w = _ser_pad(w - v * r, M)
+        a = p
+    if exact:
+        return _ser_pad(w, N)
+    return FloatSeries(N, {e: c for e, c in w.coeffs.items() if e and abs(c1_0 * c) > FLOAT_ZERO_EPS})
 
 
 def _lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -633,7 +649,7 @@ def _transform(
 ) -> List[Ser]:
     """Coefficients of P(tau^q, tau^m_e (c + w')) / tau^l_const in w'."""
     deg = len(coeffs) - 1
-    out: List[Ser] = [_zero_ser(N, exact) for _ in range(deg + 1)]
+    out: List[Ser] = [_const_ser(N, 0, exact) for _ in range(deg + 1)]
     subs: List[Optional[Ser]] = []
     for i, c in enumerate(coeffs):
         if c.is_zero():
@@ -664,7 +680,7 @@ def _puiseux_rec(
     if i0 is None:
         raise GermforgeError("polynomial vanishes identically to precision")
     for _ in range(i0):
-        out.append((1, _zero_ser(N, exact), exact))
+        out.append((1, _const_ser(N, 0, exact), exact))
     coeffs = coeffs[i0:]
     if len(coeffs) == 1:
         return out
@@ -713,15 +729,9 @@ def _puiseux_rec(
                 trans, N, branch_exact, exact_only, depth + 1
             ):
                 d = q * d_sub
-                if sub_exact:
-                    inner = TruncSeries.constant(1, N, c_lead) + w_sub
-                else:
-                    w_sub_f = (
-                        w_sub
-                        if isinstance(w_sub, FloatSeries)
-                        else FloatSeries.from_exact(w_sub)
-                    )
-                    inner = FloatSeries.constant(N, complex(c_lead)) + w_sub_f
+                if not sub_exact:
+                    w_sub = _to_float_list([w_sub])[0]
+                inner = _const_ser(N, c_lead, sub_exact) + w_sub
                 w = _ser_trunc(_ser_shift(inner, m_e * d_sub), N)
                 out.append((d, w, sub_exact))
     return out
@@ -768,36 +778,18 @@ def newton_puiseux(
 
 def _branch_residual(P: WeierstrassPoly, d: int, w: Ser, N: int, is_exact: bool) -> float:
     """Largest surviving coefficient magnitude of P(t^d, w(t)) through order N
-    (0.0 when everything cancels; exact zero for exact branches)."""
+    (0.0 when everything cancels; exact zero for exact branches), evaluated
+    by Horner in P.degree products."""
+    cs = [b.with_precision(N).substitute_power(d).with_precision(N) for b in P.coeffs]
+    if not is_exact:
+        cs, w = _to_float_list(cs), _to_float_list([w])[0]
+    w = _ser_trunc(w, N)
+    res = _const_ser(N, 1, is_exact)
+    for c in reversed(cs):
+        res = _ser_trunc(res * w, N) + c
     if is_exact:
-        res = TruncSeries.zero(1, N)
-        wp = TruncSeries.constant(1, N, 1)
-        wN = w.with_precision(N)
-        for i in range(P.degree + 1):
-            ci = (
-                P.coeffs[i].with_precision(N).substitute_power(d).with_precision(N)
-                if i < P.degree
-                else TruncSeries.constant(1, N, 1)
-            )
-            res = res + ci * wp
-            wp = wp * wN
-        if res.is_zero():
-            return 0.0
-        return max(float(c.norm2()) for c in res.coeffs.values()) ** 0.5
-    wf = (w if isinstance(w, FloatSeries) else FloatSeries.from_exact(w)).truncate(N)
-    res_f = FloatSeries(N, {})
-    wp_f = FloatSeries.constant(N, 1.0)
-    for i in range(P.degree + 1):
-        ci = (
-            FloatSeries.from_exact(
-                P.coeffs[i].with_precision(N).substitute_power(d).with_precision(N)
-            )
-            if i < P.degree
-            else FloatSeries.constant(N, 1.0)
-        )
-        res_f = res_f + ci * wp_f
-        wp_f = (wp_f * wf).truncate(N)
-    return res_f.max_abs_through(N)
+        return max((float(c.norm2()) for c in res.coeffs.values()), default=0.0) ** 0.5
+    return res.max_abs_through(N)
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +823,7 @@ class NormalForm:
     its discriminant D, and one relation D*z_j - Q_j(z_1..z_{k+1}) per
     remaining variable j = k+2..n."""
 
-    __slots__ = ("nvars", "k", "p", "discriminant", "relations")
+    __slots__ = ("nvars", "k", "p", "discriminant", "relations", "_assoc")
 
     def __init__(
         self,
@@ -869,6 +861,7 @@ class NormalForm:
         self.p = p
         self.discriminant = disc
         self.relations = tuple(rels)
+        self._assoc: dict = {}  # level -> associated ideal, see associated_membership
 
     def q_series(self, j: int) -> TruncSeries:
         """The relation generator D*z_j - Q_j as an n-variable series."""
@@ -949,15 +942,19 @@ def associated_membership(
     f: TruncSeries, nf: NormalForm, max_nu: int, N: int
 ) -> Optional[Tuple[int, Dict]]:
     """Smallest nu <= max_nu with D^nu * f in (p, q_{k+2}, .., q_n) modulo
-    degrees > N, with the certifying combination; None if the cap is reached."""
+    degrees > N, with the certifying combination; None if the cap is reached.
+    The ideal is built once per normal form and level, so the calls for
+    every generator of one lift share a single elimination."""
     from .ideals import IdealPresentation, membership_jet
 
-    gens = nf.generators()
-    if min(g.precision for g in gens) < N:
-        raise PrecisionError("normal-form generators too shallow for this order")
+    ideal = nf._assoc.get(N)
+    if ideal is None:
+        gens = nf.generators()
+        if min(g.precision for g in gens) < N:
+            raise PrecisionError("normal-form generators too shallow for this order")
+        ideal = nf._assoc[N] = IdealPresentation(nf.nvars, [g.with_precision(N) for g in gens])
     if f.precision < N:
         raise PrecisionError("candidate series too shallow for this order")
-    ideal = IdealPresentation(nf.nvars, [g.with_precision(N) for g in gens])
     Dn = extend_vars(nf.discriminant, nf.nvars)
     if Dn.precision < N:
         raise PrecisionError("discriminant too shallow for this order")

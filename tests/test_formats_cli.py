@@ -272,17 +272,43 @@ def test_cli_codim(tmp_path, capsys):
     assert "finite, D(I) = 3" in capsys.readouterr().out
 
 
-def test_cli_puiseux_and_lift(tmp_path, capsys):
-    cusp = tmp_path / "cusp.germ"
-    cusp.write_text("vars 2; N=45;\nz2^2 - z1^3;\n")
-    code = main(["puiseux", "--N", "40", str(cusp)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "branch d=2 exact" in out
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_cli_codim_rejects_bound_below_one(tmp_path, capsys, bound):
+    f = tmp_path / "ideal.germ"
+    f.write_text("vars 2; N=14;\ngen z1^2; gen z2^2;\n")
+    code = main(["codim", "--bound", bound, str(f)])
+    assert code == 1
+    assert "bound must be >= 1" in capsys.readouterr().err
 
+
+def test_cli_puiseux_huge_coefficient_exit_one(tmp_path, capsys):
+    f = tmp_path / "huge.germ"
+    f.write_text(f"vars 2; N=20;\nz2^2 - {10**400}*z1^2;\n")
+    code = main(["puiseux", "--N", "10", str(f)])
+    assert code == 1
+    assert "outside the floating range" in capsys.readouterr().err
+
+
+def test_cli_lift_builds_the_associated_span_once(tmp_path, capsys, monkeypatch):
+    from germforge import ideals
+
+    built = []
+    init = ideals.JetSpan.__init__
+
+    def counted(self, nvars, level):
+        built.append(level)
+        init(self, nvars, level)
+
+    monkeypatch.setattr(ideals.JetSpan, "__init__", counted)
     nf = tmp_path / "nf.germ"
-    nf.write_text(
-        """vars 3; N=45;
+    nf.write_text(LIFT_IDEAL)
+    assert main(["lift", "--N", "12", str(nf)]) == 0
+    out = capsys.readouterr().out
+    assert "gen 1: D^0" in out and "gen 2: D^0" in out
+    assert built == [12]
+
+
+LIFT_IDEAL = """vars 3; N=45;
 gen z2^2 - z1^2;
 gen 4*z1^2*z3 - 4*z1^2*z2;
 normal_form {
@@ -292,7 +318,18 @@ normal_form {
   Q 3 = 4*z1^2*z2;
 }
 """
-    )
+
+
+def test_cli_puiseux_and_lift(tmp_path, capsys):
+    cusp = tmp_path / "cusp.germ"
+    cusp.write_text("vars 2; N=45;\nz2^2 - z1^3;\n")
+    code = main(["puiseux", "--N", "40", str(cusp)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "branch d=2 exact" in out
+
+    nf = tmp_path / "nf.germ"
+    nf.write_text(LIFT_IDEAL)
     code = main(["lift", "--N", "40", str(nf)])
     assert code == 0
     out = capsys.readouterr().out

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germforge.coeffs import GaussianRational, ONE, ZERO
 from germforge.errors import (
     DiscriminantError,
+    ExactnessError,
     NormalFormError,
     NotRegularError,
 )
@@ -16,6 +18,7 @@ from germforge.series import FormalCurve, TruncSeries, pullback
 from germforge.weierstrass import (
     NormalForm,
     WeierstrassPoly,
+    _regular_root,
     associated_membership,
     discriminant,
     generic_restrict,
@@ -26,7 +29,7 @@ from germforge.weierstrass import (
     weierstrass_prepare,
 )
 
-from conftest import g, mono, series, uni
+from conftest import g, mono, oracle_mul, oracle_pow, series, uni
 
 
 def wpoly(degree, *lower):
@@ -327,6 +330,63 @@ def test_branch_rejects_vanishing_discriminant():
     P = wpoly(2, {2: ONE}, {1: g(-2)})  # (w - t)^2
     with pytest.raises(DiscriminantError):
         newton_puiseux(P, 30)
+
+
+@st.composite
+def regular_poly(draw):
+    """Coefficients c_0..c_n (n = 2..4) of an exact polynomial in w with a
+    simple vanishing root, c_0(0) = 0 and c_1(0) != 0, each coefficient at
+    its own precision; returns (coefficients, N)."""
+    small = st.builds(
+        GaussianRational,
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    )
+    coeffs = []
+    for i in range(draw(st.integers(2, 4)) + 1):
+        terms = {(draw(st.integers(0 if i else 1, 3)),): draw(small)
+                 for _ in range(draw(st.integers(0, 3)))}
+        if i == 1:
+            terms[(0,)] = draw(small.filter(bool))
+        coeffs.append(TruncSeries(1, draw(st.integers(3, 14)), terms))
+    return coeffs, draw(st.integers(1, 14))
+
+
+@given(regular_poly())
+@settings(max_examples=60, deadline=None)
+def test_regular_root_annihilates_through_its_precision(case):
+    coeffs, N = case
+    M = min([N, coeffs[0].precision] + [c.precision for c in coeffs[1:] if c])
+    w = _regular_root(coeffs, N, True)
+    assert w.precision == N
+    assert all(0 < e <= M for (e,) in w.coeffs)
+    # independent residual: plain dict convolutions
+    total = {}
+    for i, c in enumerate(coeffs):
+        for (e,), v in oracle_mul(c.coeffs, oracle_pow(w.coeffs, i, 1)).items():
+            total[e] = total.get(e, ZERO) + v
+    assert all(not v for e, v in total.items() if e <= M)
+
+
+def test_newton_puiseux_series_product_count(monkeypatch):
+    # z2^2 - z1^2 - 2 z1^3: two regular tails; precision doubling needs
+    # O(log N) series products per tail, an order-by-order solve O(N)
+    calls = []
+    mul = TruncSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted)
+    bs = newton_puiseux(wpoly(2, {2: -ONE, 3: g(-2)}, {}), 39)
+    assert len(bs) == 2 and all(b.is_exact and b.residual_bound == 0.0 for b in bs)
+    assert len(calls) <= 100
+
+
+def test_branch_huge_coefficient_is_an_exactness_error():
+    with pytest.raises(ExactnessError, match="10000000000"):
+        newton_puiseux(wpoly(2, {2: g(-(10**400))}, {}), 20)
 
 
 def test_branch_separation_before_discriminant_order():
