@@ -72,7 +72,14 @@ def _need(job: JobSpec, count: int, what: str):
         raise GermforgeError(f"{job.command} needs exactly {count} input(s): {what}")
 
 
+def _check_bounds(job: JobSpec):
+    for flag, value, least in (("--N", job.N, 1), ("--A", job.A, 1), ("--d", job.d, 0)):
+        if value < least:
+            raise GermforgeError(f"{flag} must be >= {least}, got {value}")
+
+
 def run_job(job: JobSpec) -> int:
+    _check_bounds(job)
     if job.command == "decompose":
         _need(job, 1, "a hermitian form file")
         r = formats.parse_hermitian(_read(job.inputs[0]))

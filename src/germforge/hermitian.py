@@ -15,12 +15,12 @@ from typing import Dict, List, Optional, Tuple
 from .coeffs import GaussianRational, ZERO, as_gauss
 from .errors import DimensionMismatch, PrecisionError, RealityError
 from .series import (
+    CurvePowers,
     FormalCurve,
     Multidegree,
     TruncSeries,
     compare,
     degree_key,
-    pullback,
 )
 
 PairKey = Tuple[Multidegree, Multidegree]
@@ -153,11 +153,17 @@ class HermitianForm:
     def agrees_with(self, other: "HermitianForm", k: int) -> bool:
         return self.jet(k).coeffs == other.jet(k).coeffs
 
-    def restrict_to_curve(self, curve: FormalCurve) -> "HermitianForm":
+    def restrict_to_curve(
+        self, curve: FormalCurve, upto: Optional[int] = None, base: Optional[CurvePowers] = None
+    ) -> "HermitianForm":
         """Pull the form back along a curve: a one-variable form in (t, tbar)
         whose (a, b) entry multiplies t^a tbar^b.
 
-        Output precision is min(precision * nu(curve), curve.precision).
+        Output precision is min(precision * nu(curve), curve.precision),
+        lowered to at most ``upto`` when given; every coefficient through the
+        output precision is the full restriction's.  ``base`` is the power
+        table of a curve sharing components with this one (see
+        :class:`CurvePowers`).
         """
         if self.nvars != curve.dim:
             raise DimensionMismatch(
@@ -169,27 +175,18 @@ class HermitianForm:
 
             raise ConstantCurveError("cannot pull back along a constant curve")
         prec = min(self.precision * nu, curve.precision)
-        mono_cache: Dict[Multidegree, TruncSeries] = {}
-
-        def monomial_on_curve(J: Multidegree) -> TruncSeries:
-            got = mono_cache.get(J)
-            if got is None:
-                got = pullback(
-                    TruncSeries.monomial(self.nvars, self.precision, J),
-                    curve,
-                )
-                mono_cache[J] = got
-            return got
-
+        if upto is not None:
+            prec = min(prec, upto)
+        powers = CurvePowers(curve, prec, base)
         out: Dict[PairKey, GaussianRational] = {}
         for J, K, c in self.full_items():
-            AJ = monomial_on_curve(J)
-            AK = monomial_on_curve(K)
+            if nu * (sum(J) + sum(K)) > prec:
+                continue  # every term of this pair lies beyond the precision
+            AJ = powers.image(J)
+            AK = powers.image(K)
             if AJ.is_zero() or AK.is_zero():
                 continue
             for (a,), ca in AJ.coeffs.items():
-                if a > prec:
-                    continue
                 for (b,), cb in AK.coeffs.items():
                     if a + b > prec:
                         continue

@@ -257,6 +257,8 @@ def recheck_bundle(text: str) -> Tuple[int, str]:
             break
     if r_text is None or order is None:
         raise GermforgeError("bundle is missing its embedded input or order")
+    if order < 1:
+        raise GermforgeError(f"bundle order must be >= 1, got {order}")
     if curve_text is None:
         return 2, "bundle records no witness; nothing to re-check"
     r = formats.parse_hermitian(r_text)

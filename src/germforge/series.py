@@ -416,12 +416,72 @@ class FormalCurve:
     __repr__ = __str__
 
 
-def pullback(s: TruncSeries, curve: FormalCurve) -> TruncSeries:
+class CurvePowers:
+    """Powers of the components of a curve at one precision, and the images
+    curve^J of monomials built from them, cached per J.
+
+    A table lives only as long as the call that made it.  Given the table
+    ``base`` of another curve at the same precision, the powers of every
+    component the two curves share are read from (and added to) the base
+    table, and so are the images of monomials in those components alone."""
+
+    __slots__ = ("precision", "components", "_powers", "_images", "_base")
+
+    def __init__(
+        self, curve: FormalCurve, precision: int, base: Optional["CurvePowers"] = None
+    ):
+        self.precision = precision
+        self.components = [c.with_precision(precision) for c in curve.components]
+        if base is not None and base.precision != precision:
+            base = None
+        self._base = base
+        self._powers = [
+            base._powers[i] if base is not None and c == base.components[i]
+            else {0: TruncSeries.constant(1, precision, 1), 1: c}
+            for i, c in enumerate(self.components)
+        ]
+        self._images: dict = {}
+
+    def power(self, i: int, e: int) -> TruncSeries:
+        cache = self._powers[i]
+        got = cache.get(e)
+        if got is None:
+            half = self.power(i, e // 2)
+            got = half * half
+            if e & 1:
+                got = got * self.components[i]
+            cache[e] = got
+        return got
+
+    def image(self, J: Multidegree) -> TruncSeries:
+        """curve^J, the product of the component powers, at the precision."""
+        got = self._images.get(J)
+        if got is None:
+            base = self._base
+            if base is not None and all(
+                self._powers[i] is base._powers[i] for i, e in enumerate(J) if e
+            ):
+                got = base.image(J)
+            else:
+                for i, e in enumerate(J):
+                    if e:
+                        p = self.power(i, e)
+                        got = p if got is None or not p else got * p
+                        if not got:
+                            break
+                if got is None:
+                    got = self._powers[0][0]
+            self._images[J] = got
+        return got
+
+
+def pullback(s: TruncSeries, curve: FormalCurve, upto: Optional[int] = None) -> TruncSeries:
     """Compose s with the curve: the univariate series (s o curve)(t).
 
     The output precision is min(s.precision * nu(curve), curve.precision):
     a coefficient is reported only when no unknown term of either input can
-    reach it.
+    reach it.  ``upto`` lowers it to at most ``upto``; every coefficient
+    through the lowered precision is the full pullback's.
     """
     if s.nvars != curve.dim:
         raise DimensionMismatch(
@@ -431,36 +491,20 @@ def pullback(s: TruncSeries, curve: FormalCurve) -> TruncSeries:
     if nu is None:
         raise ConstantCurveError("pullback along a constant-to-precision curve")
     prec = min(s.precision * nu, curve.precision)
-    out = TruncSeries.zero(1, prec)
-    pow_cache = [
-        {0: TruncSeries.constant(1, prec, 1)} for _ in range(curve.dim)
-    ]
-
-    def comp_power(i: int, e: int) -> TruncSeries:
-        cache = pow_cache[i]
-        if e in cache:
-            return cache[e]
-        half = comp_power(i, e // 2)
-        p = half * half
-        if e & 1:
-            p = p * curve.components[i].with_precision(prec)
-        cache[e] = p
-        return p
-
+    if upto is not None:
+        prec = min(prec, upto)
+    powers = CurvePowers(curve, prec)
+    out: dict = {}
     for J, c in s.coeffs.items():
-        term = TruncSeries.constant(1, prec, c)
-        dead = False
-        for i, e in enumerate(J):
-            if e == 0:
-                continue
-            p = comp_power(i, e)
-            if p.is_zero():
-                dead = True
-                break
-            term = term * p
-        if not dead:
-            out = out + term
-    return out
+        if nu * sum(J) > prec:
+            continue  # every term of curve^J lies beyond the precision
+        for K, v in powers.image(J).coeffs.items():
+            w = out.get(K, ZERO) + c * v
+            if w:
+                out[K] = w
+            else:
+                out.pop(K, None)
+    return TruncSeries(1, prec, out)
 
 
 # thin functional aliases mirroring the module surface

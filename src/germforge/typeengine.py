@@ -21,11 +21,12 @@ from .errors import (
     ConstantCurveError,
     DimensionMismatch,
     ExactnessError,
+    GermforgeError,
     PrecisionError,
 )
 from .hermitian import Decomposition, HermitianForm
 from .ideals import IdealPresentation
-from .series import FormalCurve, TruncSeries, exponent_tuples, pullback
+from .series import CurvePowers, FormalCurve, TruncSeries, exponent_tuples, pullback
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +171,21 @@ def _solve_two_real_unknowns(rows: List[Tuple[Fraction, Fraction, Fraction]]):
 
 
 def _try_kill_lowest(
-    r: HermitianForm, curve: FormalCurve, i: int, e: int, m: int
+    r: HermitianForm, curve: FormalCurve, i: int, e: int, m: int, v0: dict, base: CurvePowers
 ) -> Optional[GaussianRational]:
     """Probe whether adding delta * t^e to component i can cancel every
     degree-m coefficient of the pullback; the dependence must test affine in
-    (Re delta, Im delta), solved exactly. Returns delta or None."""
+    (Re delta, Im delta), solved exactly. Returns delta or None.
+
+    ``v0`` is the degree-m slice along the curve itself and ``base`` the
+    curve's power table at precision m; each perturbed curve is restricted
+    only through degree m."""
 
     def slice_with(delta) -> Dict[Tuple[int, int], GaussianRational]:
         comp = curve.components[i] + TruncSeries.monomial(1, curve.precision, (e,), delta)
-        return _degree_slice(r.restrict_to_curve(curve.with_component(i, comp)), m)
+        probe = curve.with_component(i, comp)
+        return _degree_slice(r.restrict_to_curve(probe, upto=m, base=base), m)
 
-    v0 = _degree_slice(r.restrict_to_curve(curve), m)
     v1 = slice_with(ONE)
     vi = slice_with(IMAG)
     v2 = slice_with(as_gauss(2))
@@ -222,12 +227,14 @@ def _refine_curve(
         m = p.order()
         if m is None:
             return curve  # full cancellation within precision
+        v0 = _degree_slice(p, m)
+        base = CurvePowers(curve, m)
         applied = False
         for i, a in enumerate(exps):
             if a == 0:
                 continue
             for e in range(a, a + max_coeff_degree + 1):
-                delta = _try_kill_lowest(r, curve, i, e, m)
+                delta = _try_kill_lowest(r, curve, i, e, m, v0, base)
                 if delta is None:
                     continue
                 comp = curve.components[i] + TruncSeries.monomial(
@@ -236,8 +243,7 @@ def _refine_curve(
                 cand = curve.with_component(i, comp)
                 if cand.is_constant():
                     continue
-                new_m = r.restrict_to_curve(cand).order()
-                if new_m is not None and new_m <= m:
+                if r.restrict_to_curve(cand, upto=m, base=base).order() is not None:
                     continue  # no actual progress; keep scanning
                 curve = cand
                 applied = True
@@ -261,8 +267,10 @@ def monomial_curve_search(
 
     The best ratio found is a certified lower bound for the supremum over
     all curves; it is never claimed to be the supremum itself."""
+    if max_exponent < 1:
+        raise GermforgeError(f"max_exponent must be >= 1, got {max_exponent}")
     n = r.nvars
-    prec = curve_precision or max(r.precision * max(1, max_exponent), r.precision)
+    prec = curve_precision or r.precision * max_exponent
 
     def score(exps: Tuple[int, ...]):
         curve = FormalCurve.from_monomials(exps, prec)

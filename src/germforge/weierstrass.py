@@ -182,6 +182,10 @@ def weierstrass_prepare(f: TruncSeries, N: int) -> Tuple[TruncSeries, Weierstras
             "series is not regular in the last variable within precision; "
             "apply a generic linear change of coordinates first"
         )
+    if N < ell:
+        raise PrecisionError(
+            f"preparation order {N} is below the w-order {ell}; ask for order >= {ell}"
+        )
     wl = TruncSeries.monomial(f.nvars, N, (0,) * (f.nvars - 1) + (ell,))
     q, r = divide_regular(wl, f.jet(N), ell, N)
     if not q.constant_term():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from germforge.coeffs import GaussianRational, ZERO, ONE
 from germforge.hermitian import HermitianForm
@@ -41,6 +42,25 @@ def curve(precision, *component_terms) -> FormalCurve:
 
 def hermitian(nvars, precision, pairs) -> HermitianForm:
     return HermitianForm(nvars, precision, pairs)
+
+
+@st.composite
+def small_curves(draw, dim=2):
+    """Curves in C^dim with up to three terms of degree 1..4 per component,
+    not all components zero, at a precision of 3..16."""
+    precision = draw(st.integers(3, 16))
+    comps = []
+    for _ in range(dim):
+        terms = draw(st.dictionaries(
+            st.integers(1, 4),
+            st.builds(g, st.integers(-3, 3), st.integers(-3, 3)),
+            max_size=3,
+        ))
+        comps.append(uni(precision, terms))
+    curve = FormalCurve(comps)
+    if curve.is_constant():
+        curve = curve.with_component(0, uni(precision, {1: ONE}))
+    return curve
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from germforge.cli import main
 from germforge.coeffs import GaussianRational, ONE
 from germforge.errors import ParseError, RealityError
 from germforge.ideals import IdealPresentation
+from germforge.pipeline import BUNDLE_HEADER
 from germforge.series import FormalCurve, TruncSeries
 
 from conftest import g, hermitian, mono, random_real_form, series, uni
@@ -279,6 +280,41 @@ def test_cli_codim_rejects_bound_below_one(tmp_path, capsys, bound):
     code = main(["codim", "--bound", bound, str(f)])
     assert code == 1
     assert "bound must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--N", "-1", "r.germ", "curve.germ"],
+    ["pipeline", "--N", "0", "r.germ"],
+    ["pipeline", "--N", "-1", "r.germ"],
+    ["search", "--A", "-1", "r.germ"],
+    ["search", "--A", "0", "r.germ"],
+    ["search", "--d", "-1", "r.germ"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_cli_rejects_bound_below_its_least(workdir, capsys, argv):
+    code = main([str(workdir / a) if a.endswith(".germ") else a for a in argv])
+    assert code == 1
+    assert f"{argv[1]} must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_cli_recheck_rejects_bundle_order_below_one(workdir, capsys, order):
+    bundle = workdir / "bundle.txt"
+    bundle.write_text(
+        f"{BUNDLE_HEADER}\ncommand: pipeline\norder: {order}\n"
+        + formats.emit_block("hermitian input", WITNESS_FORM)
+        + formats.emit_block("curve witness", WITNESS_CURVE)
+    )
+    code = main(["witness", str(bundle)])
+    assert code == 1
+    assert "bundle order must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_puiseux_order_below_w_order_exit_one(tmp_path, capsys):
+    f = tmp_path / "cusp.germ"
+    f.write_text("vars 2; N=45;\nz2^2 - z1^3;\n")
+    code = main(["puiseux", "--N", "1", str(f)])
+    assert code == 1
+    assert "preparation order 1 is below the w-order 2" in capsys.readouterr().err
 
 
 def test_cli_puiseux_huge_coefficient_exit_one(tmp_path, capsys):

@@ -4,13 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germforge.coeffs import GaussianRational, ONE, ZERO
 from germforge.errors import RealityError
 from germforge.hermitian import HermitianForm, decompose, reconstruct
-from germforge.series import TruncSeries
+from germforge.series import CurvePowers, TruncSeries
 
-from conftest import g, hermitian, random_real_form, series
+from conftest import (
+    g,
+    hermitian,
+    oracle_curve_pullback,
+    random_real_form,
+    series,
+    small_curves,
+    uni,
+)
 
 
 def two_re(nvars, precision, J, c=ONE):
@@ -153,3 +162,33 @@ def test_restrict_to_curve_matches_naive_expansion():
     for (a, b), v in expected.items():
         if a + b <= got.precision:
             assert got.coeff((a,), (b,)) == v, (a, b)
+
+
+@given(st.integers(0, 10**6), small_curves(), st.integers(0, 24))
+@settings(max_examples=80, deadline=None)
+def test_bounded_restriction_is_the_full_restriction_truncated(seed, c, k):
+    r = random_real_form(random.Random(seed), 2, 4, 6)
+    full = r.restrict_to_curve(c)
+    got = r.restrict_to_curve(c, upto=k)
+    assert got.precision == min(full.precision, k)
+    assert got == full.jet(got.precision)
+    expected = oracle_curve_pullback(r.full_map(), [dict(x.coeffs) for x in c.components])
+    assert got.full_map() == {
+        ((a,), (b,)): v for (a, b), v in expected.items() if a + b <= got.precision
+    }
+
+
+@given(st.integers(0, 10**6), small_curves(), st.integers(1, 4), st.integers(0, 24))
+@settings(max_examples=60, deadline=None)
+def test_restriction_reading_a_base_table_is_unchanged(seed, c, e, k):
+    """Probes share the power table of the curve they perturb: the tables of
+    the two curves hold the powers of the unchanged component once."""
+    r = random_real_form(random.Random(seed), 2, 4, 6)
+    probe = c.with_component(0, c.components[0] + uni(c.precision, {e: g(1, 1)}))
+    if probe.is_constant():
+        return
+    prec = r.restrict_to_curve(probe, upto=k).precision
+    base = CurvePowers(c, prec)
+    along_c = r.restrict_to_curve(c, upto=prec, base=base)
+    assert along_c == r.restrict_to_curve(c, upto=prec)
+    assert r.restrict_to_curve(probe, upto=k, base=base) == r.restrict_to_curve(probe, upto=k)

@@ -24,7 +24,16 @@ from germforge.series import (
     vanishing_order,
 )
 
-from conftest import g, mono, oracle_compose_univariate, oracle_mul, series, uni
+from conftest import (
+    g,
+    mono,
+    oracle_compose_univariate,
+    oracle_curve_pullback,
+    oracle_mul,
+    series,
+    small_curves,
+    uni,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +268,18 @@ def test_pullback_is_ring_homomorphism(a, b):
     right = pullback(a, c) * pullback(b, c)
     k = min(left.precision, right.precision)
     assert left.agrees_with(right, k)
+
+
+@given(small_series(), small_curves(), st.integers(0, 24))
+@settings(max_examples=80, deadline=None)
+def test_bounded_pullback_is_the_full_pullback_truncated(s, c, k):
+    full = pullback(s, c)
+    got = pullback(s, c, upto=k)
+    assert got.precision == min(full.precision, k)
+    assert got == full.jet(got.precision)
+    holomorphic = {(J, (0, 0)): v for J, v in s.coeffs.items()}
+    expected = oracle_curve_pullback(holomorphic, [dict(x.coeffs) for x in c.components])
+    assert dict(got.coeffs) == {(a,): v for (a, _), v in expected.items() if a <= got.precision}
 
 
 @given(st.integers(1, 4))

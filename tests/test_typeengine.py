@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from germforge.coeffs import GaussianRational, ONE, ZERO, I as IMAG
-from germforge.errors import BlockSizeError, ConstantCurveError, PrecisionError
+from germforge.errors import (
+    BlockSizeError,
+    ConstantCurveError,
+    GermforgeError,
+    PrecisionError,
+)
 from germforge.hermitian import HermitianForm, decompose
 from germforge.series import FormalCurve, TruncSeries, reparametrize
 from germforge.typeengine import (
@@ -182,6 +187,34 @@ def test_search_never_overstates_ratio():
                 assert again.is_flagged
             else:
                 assert again.value == ratio.value
+
+
+@pytest.mark.parametrize("max_exponent", [0, -1])
+def test_search_rejects_max_exponent_below_one(max_exponent):
+    with pytest.raises(GermforgeError, match="max_exponent must be >= 1"):
+        monomial_curve_search(form_power(1, precision=10), max_exponent, 1)
+
+
+def test_search_restricts_only_through_the_degree_it_reads(monkeypatch):
+    """The probes read one degree slice each, so they restrict only through
+    that degree, from power tables shared across the probes of one step."""
+    counts = {"mul": 0, "restrict": 0}
+    mul, restrict = TruncSeries.__mul__, HermitianForm.restrict_to_curve
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counted_restrict(self, *args, **kwargs):
+        counts["restrict"] += 1
+        return restrict(self, *args, **kwargs)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(HermitianForm, "restrict_to_curve", counted_restrict)
+    results = monomial_curve_search(witness_form(precision=20), 3, 2)
+    assert results[0][1].is_flagged
+    assert counts["mul"] <= 20_000
+    assert counts["restrict"] <= 2_500
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from germforge.errors import (
     ExactnessError,
     NormalFormError,
     NotRegularError,
+    PrecisionError,
 )
 from germforge.series import FormalCurve, TruncSeries, pullback
 from germforge.weierstrass import (
@@ -107,6 +108,13 @@ def test_prepare_unit_factor():
 def test_prepare_not_regular():
     with pytest.raises(NotRegularError):
         weierstrass_prepare(mono(2, 10, (1, 0)), 8)
+
+
+@pytest.mark.parametrize("N", [0, 1])
+def test_prepare_order_below_w_order_is_a_precision_error(N):
+    f = series(2, 20, {(0, 2): ONE, (3, 0): -ONE})
+    with pytest.raises(PrecisionError, match="below the w-order 2"):
+        weierstrass_prepare(f, N)
 
 
 def test_prepare_roundtrip_random():
