@@ -475,13 +475,12 @@ class CurvePowers:
         return got
 
 
-def pullback(s: TruncSeries, curve: FormalCurve, upto: Optional[int] = None) -> TruncSeries:
+def pullback(s: TruncSeries, curve: FormalCurve) -> TruncSeries:
     """Compose s with the curve: the univariate series (s o curve)(t).
 
     The output precision is min(s.precision * nu(curve), curve.precision):
     a coefficient is reported only when no unknown term of either input can
-    reach it.  ``upto`` lowers it to at most ``upto``; every coefficient
-    through the lowered precision is the full pullback's.
+    reach it.
     """
     if s.nvars != curve.dim:
         raise DimensionMismatch(
@@ -491,8 +490,6 @@ def pullback(s: TruncSeries, curve: FormalCurve, upto: Optional[int] = None) -> 
     if nu is None:
         raise ConstantCurveError("pullback along a constant-to-precision curve")
     prec = min(s.precision * nu, curve.precision)
-    if upto is not None:
-        prec = min(prec, upto)
     powers = CurvePowers(curve, prec)
     out: dict = {}
     for J, c in s.coeffs.items():
