@@ -26,7 +26,8 @@ class NotRegularError(GermforgeError):
 
 
 class DiscriminantError(GermforgeError):
-    """Discriminant vanishes identically to precision (input not reduced)."""
+    """Discriminant vanishes through its precision: the input is not
+    reduced, or the precision is below the discriminant's order."""
 
 
 class NormalFormError(GermforgeError):

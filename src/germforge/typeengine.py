@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -78,7 +79,11 @@ def dangelo_ratio(r: HermitianForm, curve: FormalCurve) -> TypeRatio:
     nu = curve.vanishing_order()
     if nu is None:
         raise ConstantCurveError("type ratio along a constant curve is ill-posed")
-    p = r.restrict_to_curve(curve)
+    return _ratio_from(r.restrict_to_curve(curve), nu)
+
+
+def _ratio_from(p: HermitianForm, nu: int) -> TypeRatio:
+    """The ratio read from the full restriction p along a curve of order nu."""
     m = p.order()
     if m is None:
         return TypeRatio(numerator=None, numerator_bound=p.precision + 1, denominator=nu)
@@ -170,6 +175,69 @@ def _solve_two_real_unknowns(rows: List[Tuple[Fraction, Fraction, Fraction]]):
     return x, y
 
 
+def probe_slice_terms(
+    r: HermitianForm, base: CurvePowers, i: int, e: int, m: int
+) -> Dict[Tuple[int, int], Dict[Tuple[int, int], GaussianRational]]:
+    """The (delta, conj delta) dependence of the degree-m slice of r along
+    base's curve when delta * t^e is added to component i.
+
+    Returns (k, l) -> P_kl, k + l >= 1, with the perturbed slice equal to
+    v0 + sum P_kl delta^k conj(delta)^l for every delta, where v0 is the
+    slice along the curve itself.  Expanding
+    (gamma_i + delta t^e)^{J_i} binomially gives
+    P_kl[(a + ek, b + el)] = sum c_JK C(J_i, k) C(K_i, l)
+    [t^a] gamma^{J - k e_i} conj([t^b] gamma^{K - l e_i}), a + b = m - e(k + l);
+    every image is read from ``base``, whose precision must be at least m.
+    Keys are the ones ``_degree_slice`` reads: (a, b) with a <= b or b = 0."""
+    ords = [c.order() for c in base.components]
+
+    def lowest(J) -> Optional[int]:
+        """Lowest degree of curve^J, None when it is zero through base's precision."""
+        low = 0
+        for j, x in enumerate(J):
+            if x:
+                if ords[j] is None:
+                    return None
+                low += x * ords[j]
+        return low
+
+    terms: Dict[Tuple[int, int], Dict[Tuple[int, int], GaussianRational]] = {}
+    for J, K, c in r.full_items():
+        ji, ki = J[i], K[i]
+        if not ji and not ki:
+            continue  # no factor of component i: only v0 sees this pair
+        for k in range(ji + 1):
+            Jk = J[:i] + (ji - k,) + J[i + 1:]
+            low_j = lowest(Jk)
+            if low_j is None:
+                continue
+            for l in range(ki + 1):
+                if not k and not l:
+                    continue
+                Kl = K[:i] + (ki - l,) + K[i + 1:]
+                low_k = lowest(Kl)
+                rest = m - e * (k + l)
+                if low_k is None or low_j + low_k > rest:
+                    continue
+                A = base.image(Jk).coeffs
+                B = base.image(Kl).coeffs
+                coef = c * (comb(ji, k) * comb(ki, l))
+                out = terms.setdefault((k, l), {})
+                for (a,), ca in A.items():
+                    cb = B.get((rest - a,))
+                    if cb is None:
+                        continue
+                    key = (a + e * k, rest - a + e * l)
+                    if key[0] > key[1] > 0:
+                        continue  # conjugate partner of a stored key
+                    out[key] = out.get(key, ZERO) + coef * ca * cb.conjugate()
+    return terms
+
+
+# i^k conj(i)^l, by (k - l) mod 4
+_TURNS = (ONE, IMAG, -ONE, -IMAG)
+
+
 def _try_kill_lowest(
     r: HermitianForm, curve: FormalCurve, i: int, e: int, m: int, v0: dict, base: CurvePowers
 ) -> Optional[GaussianRational]:
@@ -178,33 +246,48 @@ def _try_kill_lowest(
     (Re delta, Im delta), solved exactly. Returns delta or None.
 
     ``v0`` is the degree-m slice along the curve itself and ``base`` the
-    curve's power table at precision m; each perturbed curve is restricted
-    only through degree m."""
-
-    def slice_with(delta) -> Dict[Tuple[int, int], GaussianRational]:
-        comp = curve.components[i] + TruncSeries.monomial(1, curve.precision, (e,), delta)
-        probe = curve.with_component(i, comp)
-        return _degree_slice(r.restrict_to_curve(probe, upto=m, base=base), m)
-
-    v1 = slice_with(ONE)
-    vi = slice_with(IMAG)
-    v2 = slice_with(as_gauss(2))
-    vm = slice_with(ONE + IMAG)
-    keys = set(v0) | set(v1) | set(vi) | set(v2) | set(vm)
-
-    def get(d, k):
-        return d.get(k, ZERO)
-
-    for k in keys:
-        if get(v2, k) - get(v1, k) * 2 + get(v0, k) != ZERO:
-            return None  # curvature in the real direction
-        if get(vm, k) - get(v1, k) - get(vi, k) + get(v0, k) != ZERO:
-            return None  # mixed curvature
+    curve's power table at precision m.  The slice along the perturbed
+    curve is v(delta) = v0 + sum P_kl delta^k conj(delta)^l, with the P_kl
+    of :func:`probe_slice_terms` built in one pass from ``base``.  The test
+    reads v at delta = 1, i, 2, 1 + i: both curvatures v(2) - 2v(1) + v0
+    and v(1+i) - v(1) - v(i) + v0 must vanish, and delta solves
+    v0 + x (v(1) - v0) + y (v(i) - v0) = 0; each difference is summed
+    straight from the P_kl with Gaussian-integer weights.  When the
+    perturbation lowers nu(curve) to e and r.precision * e < m, no probe
+    curve's restriction reaches degree m, and the probe fails."""
+    if e < curve.vanishing_order() and r.precision * e < m:
+        return None
+    terms = probe_slice_terms(r, base, i, e, m)
+    bent: Dict[Tuple[int, int], GaussianRational] = {}  # v(2) - 2v(1) + v0
+    mixed: Dict[Tuple[int, int], GaussianRational] = {}  # v(1+i) - v(1) - v(i) + v0
+    for (k, l), coeffs in terms.items():
+        if k + l < 2:
+            continue  # both weights vanish on the linear terms
+        w_real = 2 ** (k + l) - 2
+        re, im = 1, 0  # (1 + i)^k (1 - i)^l - 1 - i^(k - l)
+        for _ in range(k):
+            re, im = re - im, re + im
+        for _ in range(l):
+            re, im = re + im, im - re
+        turn = _TURNS[(k - l) % 4]
+        w_mixed = GaussianRational(re - 1 - turn.re, im - turn.im)
+        for key, c in coeffs.items():
+            bent[key] = bent.get(key, ZERO) + c * w_real
+            mixed[key] = mixed.get(key, ZERO) + c * w_mixed
+    if any(bent.values()) or any(mixed.values()):
+        return None
+    d1: Dict[Tuple[int, int], GaussianRational] = {}  # v(1) - v0
+    di: Dict[Tuple[int, int], GaussianRational] = {}  # v(i) - v0
+    for (k, l), coeffs in terms.items():
+        turn = _TURNS[(k - l) % 4]
+        for key, c in coeffs.items():
+            d1[key] = d1.get(key, ZERO) + c
+            di[key] = di.get(key, ZERO) + c * turn
     rows: List[Tuple[Fraction, Fraction, Fraction]] = []
-    for k in keys:
-        A = get(v1, k) - get(v0, k)
-        B = get(vi, k) - get(v0, k)
-        C = -get(v0, k)
+    for key in set(v0) | set(d1):
+        A = d1.get(key, ZERO)
+        B = di.get(key, ZERO)
+        C = -v0.get(key, ZERO)
         rows.append((A.re, B.re, C.re))
         rows.append((A.im, B.im, C.im))
     sol = _solve_two_real_unknowns(rows)
@@ -216,17 +299,19 @@ def _try_kill_lowest(
 
 def _refine_curve(
     r: HermitianForm, curve: FormalCurve, exps: Tuple[int, ...], max_coeff_degree: int
-) -> FormalCurve:
+) -> Tuple[FormalCurve, HermitianForm]:
     """Greedy order-by-order cancellation: extend components with correction
     terms (polynomial ansatz of bounded degree) whenever the lowest surviving
-    pullback terms can be removed by an exactly solvable linear condition."""
+    pullback terms can be removed by an exactly solvable linear condition.
+
+    Returns the refined curve and r's full restriction along it."""
     budget = sum(max_coeff_degree for a in exps if a > 0)
     used = 0
     while used <= budget:
         p = r.restrict_to_curve(curve)
         m = p.order()
         if m is None:
-            return curve  # full cancellation within precision
+            return curve, p  # full cancellation within precision
         v0 = _degree_slice(p, m)
         base = CurvePowers(curve, m)
         applied = False
@@ -252,8 +337,8 @@ def _refine_curve(
             if applied:
                 break
         if not applied:
-            return curve
-    return curve
+            return curve, p
+    return curve, r.restrict_to_curve(curve)  # p belongs to an earlier curve
 
 
 def monomial_curve_search(
@@ -274,8 +359,8 @@ def monomial_curve_search(
 
     def score(exps: Tuple[int, ...]):
         curve = FormalCurve.from_monomials(exps, prec)
-        curve = _refine_curve(r, curve, exps, max_coeff_degree)
-        return curve, dangelo_ratio(r, curve)
+        curve, p = _refine_curve(r, curve, exps, max_coeff_degree)
+        return curve, _ratio_from(p, curve.vanishing_order())
 
     results = [score(exps) for exps in exponent_tuples(n, max_exponent)]
     results.sort(key=lambda cr: cr[1].sort_key(), reverse=True)

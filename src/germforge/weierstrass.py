@@ -307,14 +307,24 @@ class LineRestriction:
     discriminant_on_line: TruncSeries
 
 
-def generic_restrict(P: WeierstrassPoly) -> LineRestriction:
-    """Find a line direction on which the discriminant stays nonzero, walking
-    a fixed trial sequence so the choice is reproducible."""
+def _nonzero_discriminant(P: WeierstrassPoly) -> TruncSeries:
+    """discriminant(P), which must not vanish through its precision.  That
+    precision is P's, so a reduced input whose discriminant starts beyond
+    it fails too; the error names both orders."""
     D = discriminant(P)
     if D.is_zero():
         raise DiscriminantError(
-            "discriminant vanishes identically to precision; input is not reduced"
+            f"discriminant vanishes through its precision {D.precision} (preparation "
+            f"order {P.precision + P.degree - 1}); the input is not reduced, or its "
+            "discriminant starts beyond that precision: raise the order"
         )
+    return D
+
+
+def generic_restrict(P: WeierstrassPoly) -> LineRestriction:
+    """Find a line direction on which the discriminant stays nonzero, walking
+    a fixed trial sequence so the choice is reproducible."""
+    D = _nonzero_discriminant(P)
     for v in _direction_trials(P.base_vars):
         Dv = restrict_to_line(D, v)
         if not Dv.is_zero():
@@ -758,10 +768,7 @@ def newton_puiseux(
         raise PrecisionError(
             f"coefficients certified to {P.precision} < requested order {N}"
         )
-    if discriminant(P).is_zero():
-        raise DiscriminantError(
-            "discriminant vanishes identically to precision; input is not reduced"
-        )
+    _nonzero_discriminant(P)
     coeffs: List[Ser] = [b.with_precision(N) for b in P.coeffs]
     coeffs.append(TruncSeries.constant(1, N, 1))
     branches = []

@@ -317,6 +317,21 @@ def test_cli_puiseux_order_below_w_order_exit_one(tmp_path, capsys):
     assert "preparation order 1 is below the w-order 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_cli_puiseux_order_below_the_discriminant_names_the_precision(tmp_path, capsys, order):
+    """z2^2 - z1^3 is reduced, but its discriminant 4 z1^3 starts beyond
+    the precision order - 1 of the prepared coefficients."""
+    f = tmp_path / "cusp.germ"
+    f.write_text("vars 2; N=45;\nz2^2 - z1^3;\n")
+    code = main(["puiseux", "--N", str(order), str(f)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert (
+        f"discriminant vanishes through its precision {order - 1} (preparation order {order})"
+        in err
+    )
+
+
 def test_cli_puiseux_huge_coefficient_exit_one(tmp_path, capsys):
     f = tmp_path / "huge.germ"
     f.write_text(f"vars 2; N=20;\nz2^2 - {10**400}*z1^2;\n")

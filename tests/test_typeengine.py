@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germforge.coeffs import GaussianRational, ONE, ZERO, I as IMAG
 from germforge.errors import (
@@ -14,15 +15,18 @@ from germforge.errors import (
     PrecisionError,
 )
 from germforge.hermitian import HermitianForm, decompose
-from germforge.series import FormalCurve, TruncSeries, reparametrize
+from germforge.series import CurvePowers, FormalCurve, TruncSeries, reparametrize
 from germforge.typeengine import (
     GramMismatch,
     UnitaryBlock,
+    _degree_slice,
+    _try_kill_lowest,
     build_ideal,
     dangelo_ratio,
     equivalence_check,
     match_unitary,
     monomial_curve_search,
+    probe_slice_terms,
     witness_check,
 )
 
@@ -31,6 +35,7 @@ from conftest import (
     hermitian,
     oracle_curve_pullback,
     random_real_form,
+    small_curves,
     uni,
 )
 
@@ -215,6 +220,85 @@ def test_search_restricts_only_through_the_degree_it_reads(monkeypatch):
     assert results[0][1].is_flagged
     assert counts["mul"] <= 20_000
     assert counts["restrict"] <= 2_500
+
+
+def test_search_reads_probe_slices_from_the_base_table(monkeypatch):
+    """Each probe reads its degree slice, as a polynomial in (delta, conj
+    delta), from the base curve's power table in one pass: the perturbed
+    curves are never restricted."""
+    counts = {"mul": 0, "restrict": 0}
+    mul, restrict = TruncSeries.__mul__, HermitianForm.restrict_to_curve
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counted_restrict(self, *args, **kwargs):
+        counts["restrict"] += 1
+        return restrict(self, *args, **kwargs)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(HermitianForm, "restrict_to_curve", counted_restrict)
+    results = monomial_curve_search(witness_form(precision=20), 3, 2)
+    assert results[0][1].is_flagged
+    assert counts["restrict"] <= 300
+    assert counts["mul"] <= 1_000
+
+
+small_gauss = st.builds(
+    GaussianRational,
+    st.fractions(-3, 3, max_denominator=4),
+    st.fractions(-3, 3, max_denominator=4),
+)
+
+
+@given(
+    st.integers(0, 10**6),
+    small_curves(),
+    st.integers(0, 1),
+    st.integers(1, 5),
+    small_gauss,
+    st.booleans(),
+    st.integers(1, 24),
+)
+@settings(max_examples=80, deadline=None)
+def test_probe_slice_terms_give_the_perturbed_slice(seed, c, i, e, delta, cancel, m):
+    """v0 + sum P_kl delta^k conj(delta)^l is the degree-m slice along the
+    curve with delta t^e added to component i, for any delta, also one
+    that cancels the component's leading term and so changes nu."""
+    r = random_real_form(random.Random(seed), 2, 4, 6)
+    comp = c.components[i]
+    if cancel and not comp.is_zero():
+        e = comp.order()
+        delta = -comp.coeff(e)
+    probe = c.with_component(i, comp + uni(c.precision, {e: delta}))
+    m = min(m, r.restrict_to_curve(c).precision)
+    got = _degree_slice(r.restrict_to_curve(c, upto=m), m)
+    for (k, l), terms in probe_slice_terms(r, CurvePowers(c, m), i, e, m).items():
+        w = delta**k * delta.conjugate() ** l
+        for key, v in terms.items():
+            got[key] = got.get(key, ZERO) + w * v
+    got = {key: v for key, v in got.items() if v}
+    expected = oracle_curve_pullback(r.full_map(), [dict(x.coeffs) for x in probe.components])
+    assert got == {
+        (a, b): v for (a, b), v in expected.items() if a + b == m and (a <= b or b == 0)
+    }
+    if not probe.is_constant():
+        along = r.restrict_to_curve(probe, upto=m)
+        if along.precision == m:  # else lowering nu cut the restriction short of m
+            assert got == _degree_slice(along, m)
+
+
+def test_probe_through_the_zero_curve_is_read_like_any_other():
+    """Adding 1 * t to the curve (0, -t) gives the zero curve at the probe
+    point delta = 1; its slice is read from the terms (it is zero) instead of
+    aborting the search as a restriction along a constant curve would."""
+    r = hermitian(2, 4, {**re2(2, (0, 1)), ((0, 1), (0, 1)): ONE})
+    c = FormalCurve([uni(6, {}), uni(6, {1: -ONE})])
+    m = r.restrict_to_curve(c).order()
+    v0 = _degree_slice(r.restrict_to_curve(c), m)
+    assert (m, v0) == (1, {(1, 0): -ONE, (0, 1): -ONE})
+    assert _try_kill_lowest(r, c, 1, 1, m, v0, CurvePowers(c, m)) == ONE
 
 
 # ---------------------------------------------------------------------------
