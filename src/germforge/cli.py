@@ -11,6 +11,7 @@ Exit codes: 0 success / certified witness, 2 no-witness-at-these-bounds
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -40,7 +41,10 @@ _COMMANDS = [
 ]
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused, so
+    in-process callers of :func:`main` do not rebuild it for every job."""
     ap = argparse.ArgumentParser(
         prog="germforge",
         description="exact witness pipeline for hypersurface germs",

@@ -18,7 +18,16 @@ RatLike = Union[int, Fraction]
 
 
 class GaussianRational:
-    """Exact complex number a + b*i with rational a, b."""
+    """Exact complex number a + b*i with rational a, b.
+
+    ``re`` and ``im`` are always ``Fraction``s.  Most coefficients met in
+    practice are real (integer ideals, real forms, real curves), so the
+    operators skip the arithmetic on a zero imaginary part: a product of
+    two reals is one ``Fraction`` product, a product with one real operand
+    two, a sum with a real operand adds no imaginary parts, and division by
+    a real divides each part.  Every short-cut gives the value of the
+    textbook formula exactly; it only leaves out products and sums known
+    to be zero."""
 
     __slots__ = ("re", "im")
 
@@ -29,39 +38,51 @@ class GaussianRational:
     # -- ring / field operations ------------------------------------------
 
     def __add__(self, other) -> "GaussianRational":
-        other = as_gauss(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if not isinstance(other, GaussianRational):
+            other = as_gauss(other)
+        b, d = self.im, other.im
+        return _gauss(self.re + other.re, (b + d if b else d) if d else b)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "GaussianRational":
-        other = as_gauss(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if not isinstance(other, GaussianRational):
+            other = as_gauss(other)
+        b, d = self.im, other.im
+        return _gauss(self.re - other.re, (b - d if b else -d) if d else b)
 
     def __rsub__(self, other) -> "GaussianRational":
         return as_gauss(other) - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        b = self.im
+        return _gauss(-self.re, -b if b else b)
 
     def __mul__(self, other) -> "GaussianRational":
-        other = as_gauss(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not isinstance(other, GaussianRational):
+            other = as_gauss(other)
+        a, b = self.re, self.im
+        c, d = other.re, other.im
+        if not d:
+            return _gauss(a * c, b * c if b else b)
+        if not b:
+            return _gauss(a * c, a * d)
+        return _gauss(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussianRational":
-        other = as_gauss(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if not isinstance(other, GaussianRational):
+            other = as_gauss(other)
+        c, d = other.re, other.im
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            b = self.im
+            return _gauss(self.re / c, b / c if b else b)
+        a, b = self.re, self.im
+        n = c * c + d * d
+        return _gauss((a * c + b * d) / n, (b * c - a * d) / n)
 
     def __rtruediv__(self, other) -> "GaussianRational":
         return as_gauss(other) / self
@@ -81,7 +102,8 @@ class GaussianRational:
     # -- structure ---------------------------------------------------------
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        b = self.im
+        return _gauss(self.re, -b if b else b)
 
     def norm2(self) -> Fraction:
         """|c|^2, exactly."""
@@ -124,6 +146,17 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _gauss(re: Fraction, im: Fraction) -> GaussianRational:
+    """A Gaussian rational from two ``Fraction``s, without coercion."""
+    out = _new(GaussianRational)
+    out.re = re
+    out.im = im
+    return out
 
 
 ZERO = GaussianRational(0)

@@ -128,31 +128,43 @@ class JetSpan:
     """Echelonized row space over the degree <= level monomial basis.
 
     Rows are normalized to leading coefficient 1 with the pivot at the
-    smallest multidegree in the fixed total order; each row remembers the
-    combination of original (generator, monomial) products producing it.
+    smallest multidegree in the fixed total order.
 
     The order is graded, so truncating the rows to degree <= k drops exactly
     the rows pivoting above degree k and leaves an echelon basis of the
     level-k span: every shallower level, and its rank (the number of pivots
-    of degree <= k), is read from this one elimination."""
+    of degree <= k), is read from this one elimination.
+
+    Combinations are kept as a sparse L factor, not expanded per row: each
+    row stores its inverse leading coefficient, the combination it was
+    inserted with (its origin) and the reduction steps (pivot, factor) that
+    made it.  The row is then inv * (origin - sum factor * row(pivot)), and
+    :meth:`express` expands that recursion only for a vector in the span."""
 
     def __init__(self, nvars: int, level: int):
         self.nvars = nvars
         self.level = level
-        self.rows: Dict[Multidegree, Tuple[dict, dict]] = {}
+        # pivot -> (normalized vector, inv, origin, steps), in insertion order
+        self.rows: Dict[Multidegree, Tuple[dict, GaussianRational, dict, list]] = {}
 
-    def _reduce(self, vec: dict, combo: dict, k: Optional[int] = None):
-        """Reduce against the rows truncated to degree <= k (None: untruncated)."""
+    def reduce(self, vec: dict, k: int):
+        """Reduce a vector over the degree <= k monomials against the rows
+        truncated to degree <= k (k <= level).  Returns (residue, steps, lead
+        of the residue or None); steps lists each (pivot, factor) taken."""
+        if k > self.level:
+            raise PrecisionError(f"level {k} exceeds span level {self.level}")
+        truncate = k < self.level
         vec = dict(vec)
-        combo = dict(combo)
+        steps = []
         while vec:
             lead = min(vec, key=degree_key)
             got = self.rows.get(lead)
             if got is None:
-                return vec, combo, lead
-            rvec, rcombo = got
+                return vec, steps, lead
+            rvec = got[0]
             factor = vec[lead]
-            if k is not None:
+            steps.append((lead, factor))
+            if truncate:
                 rvec = {J: c for J, c in rvec.items() if sum(J) <= k}
             for J, c in rvec.items():
                 v = vec.get(J, ZERO) - factor * c
@@ -160,37 +172,47 @@ class JetSpan:
                     vec[J] = v
                 else:
                     vec.pop(J, None)
-            for key, c in rcombo.items():
-                v = combo.get(key, ZERO) - factor * c
-                if v:
-                    combo[key] = v
-                else:
-                    combo.pop(key, None)
-        return vec, combo, None
+        return vec, steps, None
 
     def insert(self, vec: dict, combo: dict) -> bool:
-        """Add a row; returns True when it enlarged the span."""
-        vec, combo, lead = self._reduce(vec, combo)
+        """Add a row that equals the combination ``combo`` of (generator,
+        monomial) products; returns True when it enlarged the span."""
+        vec, steps, lead = self.reduce(vec, self.level)
         if lead is None:
             return False
         inv = ONE / vec[lead]
         vec = {J: inv * c for J, c in vec.items()}
-        combo = {key: inv * c for key, c in combo.items()}
-        self.rows[lead] = (vec, combo)
+        self.rows[lead] = (vec, inv, combo, steps)
         return True
 
     def express(self, vec: dict, k: int):
         """Reduce a vector over the degree <= k monomials against the level-k
         span (k <= level).
 
-        Returns (residue, combination): residue empty means the vector lies
-        in the span and equals sum combination[(gen, mono)] * z^mono * g_gen
-        modulo degrees > k."""
-        if k > self.level:
-            raise PrecisionError(f"level {k} exceeds span level {self.level}")
-        residue, combo, _ = self._reduce(vec, {}, k if k < self.level else None)
-        combination = {key: -c for key, c in combo.items()}
-        return residue, combination
+        Returns (residue, combination).  An empty residue means the vector
+        lies in the span and equals sum combination[(gen, mono)] * z^mono *
+        g_gen modulo degrees > k; with a nonzero residue the combination is
+        None."""
+        residue, steps, _ = self.reduce(vec, k)
+        if residue:
+            return residue, None
+        # vec = sum factor * row(pivot); unfold rows newest first, since a
+        # row's steps only name rows inserted before it.
+        weight = dict(steps)
+        combination: Dict[Tuple[int, Multidegree], GaussianRational] = {}
+        for lead in reversed(self.rows):
+            w = weight.pop(lead, None)
+            if not w:
+                continue
+            _, inv, origin, rsteps = self.rows[lead]
+            w = w * inv
+            for key, c in origin.items():
+                combination[key] = combination.get(key, ZERO) + w * c
+            for pivot, factor in rsteps:
+                weight[pivot] = weight.get(pivot, ZERO) - w * factor
+            if not weight:
+                break
+        return residue, {key: c for key, c in combination.items() if c}
 
 
 @dataclass
@@ -339,8 +361,7 @@ def max_power_subset(I: IdealPresentation, ell: int, k: int) -> bool:
         raise PrecisionError(f"level {k} exceeds ideal precision")
     span = I.span(k)
     for m in monomials_of_degree(I.nvars, ell):
-        residue, _ = span.express({m: ONE}, k)
-        if residue:
+        if span.reduce({m: ONE}, k)[0]:
             return False
     return True
 

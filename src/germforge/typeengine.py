@@ -27,7 +27,14 @@ from .errors import (
 )
 from .hermitian import Decomposition, HermitianForm
 from .ideals import IdealPresentation
-from .series import CurvePowers, FormalCurve, TruncSeries, exponent_tuples, pullback
+from .series import (
+    CurvePowers,
+    FormalCurve,
+    Multidegree,
+    TruncSeries,
+    exponent_tuples,
+    pullback,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +182,23 @@ def _solve_two_real_unknowns(rows: List[Tuple[Fraction, Fraction, Fraction]]):
     return x, y
 
 
+PairList = List[Tuple[Multidegree, Multidegree, GaussianRational]]
+
+
+def component_pairs(r: HermitianForm) -> List[PairList]:
+    """For each component i, r's pairs (J, K, c), conjugate partners
+    included, with J[i] or K[i] nonzero: the pairs a perturbation of
+    component i reaches."""
+    full = list(r.full_items())
+    return [[(J, K, c) for J, K, c in full if J[i] or K[i]] for i in range(r.nvars)]
+
+
 def probe_slice_terms(
-    r: HermitianForm, base: CurvePowers, i: int, e: int, m: int
+    pairs: PairList, base: CurvePowers, i: int, e: int, m: int
 ) -> Dict[Tuple[int, int], Dict[Tuple[int, int], GaussianRational]]:
     """The (delta, conj delta) dependence of the degree-m slice of r along
-    base's curve when delta * t^e is added to component i.
+    base's curve when delta * t^e is added to component i; ``pairs`` is
+    r's list for component i from :func:`component_pairs`.
 
     Returns (k, l) -> P_kl, k + l >= 1, with the perturbed slice equal to
     v0 + sum P_kl delta^k conj(delta)^l for every delta, where v0 is the
@@ -202,10 +221,8 @@ def probe_slice_terms(
         return low
 
     terms: Dict[Tuple[int, int], Dict[Tuple[int, int], GaussianRational]] = {}
-    for J, K, c in r.full_items():
+    for J, K, c in pairs:
         ji, ki = J[i], K[i]
-        if not ji and not ki:
-            continue  # no factor of component i: only v0 sees this pair
         for k in range(ji + 1):
             Jk = J[:i] + (ji - k,) + J[i + 1:]
             low_j = lowest(Jk)
@@ -239,14 +256,22 @@ _TURNS = (ONE, IMAG, -ONE, -IMAG)
 
 
 def _try_kill_lowest(
-    r: HermitianForm, curve: FormalCurve, i: int, e: int, m: int, v0: dict, base: CurvePowers
+    r: HermitianForm,
+    curve: FormalCurve,
+    i: int,
+    e: int,
+    m: int,
+    v0: dict,
+    base: CurvePowers,
+    pairs: PairList,
 ) -> Optional[GaussianRational]:
     """Probe whether adding delta * t^e to component i can cancel every
     degree-m coefficient of the pullback; the dependence must test affine in
     (Re delta, Im delta), solved exactly. Returns delta or None.
 
     ``v0`` is the degree-m slice along the curve itself and ``base`` the
-    curve's power table at precision m.  The slice along the perturbed
+    curve's power table at precision m, ``pairs`` r's pairs that involve
+    component i (:func:`component_pairs`).  The slice along the perturbed
     curve is v(delta) = v0 + sum P_kl delta^k conj(delta)^l, with the P_kl
     of :func:`probe_slice_terms` built in one pass from ``base``.  The test
     reads v at delta = 1, i, 2, 1 + i: both curvatures v(2) - 2v(1) + v0
@@ -257,7 +282,7 @@ def _try_kill_lowest(
     curve's restriction reaches degree m, and the probe fails."""
     if e < curve.vanishing_order() and r.precision * e < m:
         return None
-    terms = probe_slice_terms(r, base, i, e, m)
+    terms = probe_slice_terms(pairs, base, i, e, m)
     bent: Dict[Tuple[int, int], GaussianRational] = {}  # v(2) - 2v(1) + v0
     mixed: Dict[Tuple[int, int], GaussianRational] = {}  # v(1+i) - v(1) - v(i) + v0
     for (k, l), coeffs in terms.items():
@@ -298,11 +323,16 @@ def _try_kill_lowest(
 
 
 def _refine_curve(
-    r: HermitianForm, curve: FormalCurve, exps: Tuple[int, ...], max_coeff_degree: int
+    r: HermitianForm,
+    curve: FormalCurve,
+    exps: Tuple[int, ...],
+    max_coeff_degree: int,
+    pairs: List[PairList],
 ) -> Tuple[FormalCurve, HermitianForm]:
     """Greedy order-by-order cancellation: extend components with correction
     terms (polynomial ansatz of bounded degree) whenever the lowest surviving
     pullback terms can be removed by an exactly solvable linear condition.
+    ``pairs`` is :func:`component_pairs` of r.
 
     Returns the refined curve and r's full restriction along it."""
     budget = sum(max_coeff_degree for a in exps if a > 0)
@@ -319,7 +349,7 @@ def _refine_curve(
             if a == 0:
                 continue
             for e in range(a, a + max_coeff_degree + 1):
-                delta = _try_kill_lowest(r, curve, i, e, m, v0, base)
+                delta = _try_kill_lowest(r, curve, i, e, m, v0, base, pairs[i])
                 if delta is None:
                     continue
                 comp = curve.components[i] + TruncSeries.monomial(
@@ -356,10 +386,11 @@ def monomial_curve_search(
         raise GermforgeError(f"max_exponent must be >= 1, got {max_exponent}")
     n = r.nvars
     prec = curve_precision or r.precision * max_exponent
+    pairs = component_pairs(r)
 
     def score(exps: Tuple[int, ...]):
         curve = FormalCurve.from_monomials(exps, prec)
-        curve, p = _refine_curve(r, curve, exps, max_coeff_degree)
+        curve, p = _refine_curve(r, curve, exps, max_coeff_degree, pairs)
         return curve, _ratio_from(p, curve.vanishing_order())
 
     results = [score(exps) for exps in exponent_tuples(n, max_exponent)]

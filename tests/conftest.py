@@ -5,6 +5,7 @@ arithmetic paths: plain dict convolutions and substitutions, so that a bug
 in the production kernels cannot hide from the comparisons."""
 
 from fractions import Fraction
+import itertools
 import random
 
 import pytest
@@ -192,6 +193,55 @@ def oracle_level_dims_monomial(gen_exponents, nvars, bound):
                 cnt += 1
         dims.append(cnt)
     return dims
+
+
+class OracleEagerSpan:
+    """Jet-span elimination that expands every row's combination of
+    (generator, monomial) products as it goes, in plain dicts: the
+    reference for the library's lazily expanded combinations.  Rows are
+    inserted in the library's order (generators in turn, monomials graded
+    and lexicographic), so a member gets the same combination."""
+
+    def __init__(self, generators, nvars: int, level: int):
+        self.rows = {}
+        monos = sorted((m for m in itertools.product(range(level + 1), repeat=nvars)
+                        if sum(m) <= level), key=lambda m: (sum(m), m))
+        for idx, gen in enumerate(generators):
+            if not gen.coeffs:
+                continue
+            low = min(sum(J) for J in gen.coeffs)
+            for m in (m for m in monos if sum(m) <= level - low):
+                prod = {tuple(a + b for a, b in zip(J, m)): c for J, c in gen.coeffs.items()
+                        if sum(J) + sum(m) <= level}
+                vec, combo, lead = self._reduce(prod, {(idx, m): ONE}, level)
+                if lead is not None:
+                    inv = ONE / vec[lead]
+                    self.rows[lead] = ({J: inv * c for J, c in vec.items()},
+                                       {key: inv * c for key, c in combo.items()})
+
+    def _reduce(self, vec, combo, k):
+        vec, combo = dict(vec), dict(combo)
+        while vec:
+            lead = min(vec, key=lambda J: (sum(J), J))
+            if lead not in self.rows:
+                return vec, combo, lead
+            rvec, rcombo = self.rows[lead]
+            factor = vec[lead]
+            for J, c in rvec.items():
+                if sum(J) <= k:
+                    vec[J] = vec.get(J, ZERO) - factor * c
+                    if not vec[J]:
+                        del vec[J]
+            for key, c in rcombo.items():
+                combo[key] = combo.get(key, ZERO) - factor * c
+                if not combo[key]:
+                    del combo[key]
+        return vec, combo, None
+
+    def express(self, vec, k):
+        """(residue, combination) of vec against the level-k span."""
+        residue, combo, _ = self._reduce(vec, {}, k)
+        return residue, {key: -c for key, c in combo.items()}
 
 
 # ---------------------------------------------------------------------------

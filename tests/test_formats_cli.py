@@ -340,6 +340,35 @@ def test_cli_puiseux_huge_coefficient_exit_one(tmp_path, capsys):
     assert "outside the floating range" in capsys.readouterr().err
 
 
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
+    import argparse
+
+    from germforge import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "germforge":
+            built.append(self)
+
+    cli._build_argparser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    try:
+        f = tmp_path / "I.germ"
+        f.write_text("vars 2; N=8;\ngen z1;\ngen z2;\n")
+        assert main(["codim", "--bound", "3", str(f)]) == 0
+        assert main(["codim", "--bound", "4", str(f)]) == 0
+        assert len(built) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["codim", "--no-such-flag", str(f)])
+        assert exc.value.code == 2
+        assert len(built) == 1
+    finally:
+        cli._build_argparser.cache_clear()
+
+
 def test_cli_lift_builds_the_associated_span_once(tmp_path, capsys, monkeypatch):
     from germforge import ideals
 
@@ -357,6 +386,26 @@ def test_cli_lift_builds_the_associated_span_once(tmp_path, capsys, monkeypatch)
     out = capsys.readouterr().out
     assert "gen 1: D^0" in out and "gen 2: D^0" in out
     assert built == [12]
+
+
+def test_cli_lift_expands_only_the_member_combinations(tmp_path, capsys, monkeypatch):
+    """Span rows keep their reduction steps, and a combination is expanded
+    only for a member: the lift's associated memberships stay well under
+    the 29,100 Gaussian products of tracking every row's combination."""
+    calls = [0]
+    mul = GaussianRational.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counted)
+    monkeypatch.setattr(GaussianRational, "__rmul__", counted)
+    nf = tmp_path / "nf.germ"
+    nf.write_text(LIFT_IDEAL)
+    assert main(["lift", "--N", "20", str(nf)]) == 0
+    assert "gen 2: D^0" in capsys.readouterr().out
+    assert calls[0] <= 20_000
 
 
 LIFT_IDEAL = """vars 3; N=45;

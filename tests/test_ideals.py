@@ -1,8 +1,9 @@
 """Jet-level ideal linear algebra: membership, codimension, radicals."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from germforge.coeffs import ONE
+from germforge.coeffs import GaussianRational, ONE
 from germforge.errors import ImproperIdealError, PrecisionError
 from germforge.ideals import (
     IdealPresentation,
@@ -19,6 +20,7 @@ from germforge.ideals import (
 from germforge.series import TruncSeries
 
 from conftest import (
+    OracleEagerSpan,
     mono,
     oracle_level_dims_monomial,
     oracle_standard_monomials,
@@ -211,6 +213,87 @@ def test_codimension_is_one_elimination(monkeypatch):
     assert rep.verdict == "finite"
     assert len(levels) == one_build
     assert set(levels) == {bound - 1}
+
+
+coeffs = st.builds(
+    GaussianRational,
+    st.fractions(-3, 3, max_denominator=3),
+    st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=3)),
+).filter(bool)
+
+
+@st.composite
+def ideals_with_probes(draw):
+    """A random ideal with complex coefficients, and probes: combinations of
+    its generators (members at every level) plus random monomial terms."""
+    nvars = draw(st.integers(2, 3))
+    precision = draw(st.integers(3, 7))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda J: 1 <= sum(J) <= 4)
+    gens = draw(st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=3),
+                         min_size=1, max_size=3))
+    if draw(st.booleans()):  # a power of each variable: often finite codimension
+        for i in range(nvars):
+            power = tuple(draw(st.integers(1, 2)) if j == i else 0 for j in range(nvars))
+            gens.append({**draw(st.dictionaries(exps, coeffs, max_size=2)), power: draw(coeffs)})
+    I = ideal(nvars, precision, *gens)
+    probes = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = TruncSeries.zero(nvars, precision)
+        for _ in range(draw(st.integers(1, 3))):
+            idx = draw(st.integers(0, len(gens) - 1))
+            J = draw(st.tuples(*[st.integers(0, 2)] * nvars))
+            f = f + I.generators[idx] * mono(nvars, precision, J, draw(coeffs))
+        extra = draw(st.dictionaries(exps, coeffs, max_size=2))
+        probes.append(f + series(nvars, precision, extra))
+    levels = draw(st.lists(st.integers(1, precision), min_size=1, max_size=3))
+    return I, probes, levels
+
+
+@given(ideals_with_probes())
+@settings(max_examples=60, deadline=None)
+def test_lazy_combinations_match_the_eager_reference(case):
+    """Each membership combination, read from one span at several levels,
+    is the dict the eagerly tracking reference gives; a non-member gets no
+    combination."""
+    I, probes, levels = case
+    for k in levels:
+        span = I.span(k)
+        eager = OracleEagerSpan(I.generators, I.nvars, span.level)
+        for f in probes:
+            got = membership_jet(f, I, k)
+            residue, combination = eager.express(dict(f.jet(k).coeffs), k)
+            assert got.contained == (not residue)
+            if got.contained:
+                assert got.combination == combination
+                assert verify_combination(f, I, got.combination, k)
+            else:
+                assert got.combination is None
+                assert got.residue.coeffs == residue
+                assert span.express(dict(f.jet(k).coeffs), k) == (residue, None)
+
+
+def test_express_drops_cancelled_combination_terms():
+    """Rows inserted with overlapping combinations: the expansion of z^2
+    meets "a" once through each row, and the two cancel."""
+    span = JetSpan(1, 2)
+    assert span.insert({(1,): ONE}, {"a": ONE})
+    assert span.insert({(1,): ONE, (2,): ONE}, {"a": ONE, "b": ONE})
+    assert span.express({(2,): ONE}, 2) == ({}, {"b": ONE})
+    assert span.express({(0,): ONE}, 2) == ({(0,): ONE}, None)
+
+
+@given(ideals_with_probes())
+@settings(max_examples=30, deadline=None)
+def test_codimension_certificates_match_the_eager_reference(case):
+    I, _, _ = case
+    bound = I.precision
+    rep = codimension(I, bound)
+    eager = OracleEagerSpan(I.generators, I.nvars, bound - 1)
+    for vc in rep.variable_certificates:
+        m = tuple(vc.exponent if i == vc.variable else 0 for i in range(I.nvars))
+        residue, combination = eager.express({m: ONE}, bound - 1)
+        assert not residue and vc.combination == combination
+        assert verify_combination(mono(I.nvars, I.precision, m), I, vc.combination, bound - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from germforge.typeengine import (
     _degree_slice,
     _try_kill_lowest,
     build_ideal,
+    component_pairs,
     dangelo_ratio,
     equivalence_check,
     match_unitary,
@@ -245,6 +246,28 @@ def test_search_reads_probe_slices_from_the_base_table(monkeypatch):
     assert counts["mul"] <= 1_000
 
 
+def test_search_lists_the_form_pairs_once_per_component(monkeypatch):
+    """The probes read r's pairs from one list per component, built once per
+    search; only the full restrictions walk ``full_items`` themselves."""
+    counts = {"walks": 0, "restrict": 0}
+    walk, restrict = HermitianForm.full_items, HermitianForm.restrict_to_curve
+
+    def counted_walk(self):
+        counts["walks"] += 1
+        return walk(self)
+
+    def counted_restrict(self, *args, **kwargs):
+        counts["restrict"] += 1
+        return restrict(self, *args, **kwargs)
+
+    monkeypatch.setattr(HermitianForm, "full_items", counted_walk)
+    monkeypatch.setattr(HermitianForm, "restrict_to_curve", counted_restrict)
+    r = witness_form(precision=20)
+    results = monomial_curve_search(r, 3, 2)
+    assert results[0][1].is_flagged
+    assert counts["walks"] - counts["restrict"] <= r.nvars
+
+
 small_gauss = st.builds(
     GaussianRational,
     st.fractions(-3, 3, max_denominator=4),
@@ -274,7 +297,7 @@ def test_probe_slice_terms_give_the_perturbed_slice(seed, c, i, e, delta, cancel
     probe = c.with_component(i, comp + uni(c.precision, {e: delta}))
     m = min(m, r.restrict_to_curve(c).precision)
     got = _degree_slice(r.restrict_to_curve(c, upto=m), m)
-    for (k, l), terms in probe_slice_terms(r, CurvePowers(c, m), i, e, m).items():
+    for (k, l), terms in probe_slice_terms(component_pairs(r)[i], CurvePowers(c, m), i, e, m).items():
         w = delta**k * delta.conjugate() ** l
         for key, v in terms.items():
             got[key] = got.get(key, ZERO) + w * v
@@ -298,7 +321,7 @@ def test_probe_through_the_zero_curve_is_read_like_any_other():
     m = r.restrict_to_curve(c).order()
     v0 = _degree_slice(r.restrict_to_curve(c), m)
     assert (m, v0) == (1, {(1, 0): -ONE, (0, 1): -ONE})
-    assert _try_kill_lowest(r, c, 1, 1, m, v0, CurvePowers(c, m)) == ONE
+    assert _try_kill_lowest(r, c, 1, 1, m, v0, CurvePowers(c, m), component_pairs(r)[1]) == ONE
 
 
 # ---------------------------------------------------------------------------
