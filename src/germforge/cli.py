@@ -147,7 +147,7 @@ def run_job(job: JobSpec) -> int:
         line = generic_restrict(P)
         print(f"direction {line.direction}, restricted discriminant order {line.s_order}")
         for b in newton_puiseux(line.restricted, min(job.N, line.restricted.precision),
-                                exact_only=job.exact_only):
+                                exact_only=job.exact_only, disc=line.discriminant_on_line):
             print(b)
         return 0
 
@@ -159,7 +159,8 @@ def run_job(job: JobSpec) -> int:
         nf = ideal.normal_form
         line = generic_restrict(nf.p)
         branches = newton_puiseux(
-            line.restricted, min(job.N, line.restricted.precision), exact_only=True
+            line.restricted, min(job.N, line.restricted.precision), exact_only=True,
+            disc=line.discriminant_on_line,
         )
         lifted = None
         for b in branches:

@@ -1,7 +1,10 @@
 """Gaussian-rational coefficient arithmetic.
 
-Every exact computation in the package runs over Q(i): pairs of
-``fractions.Fraction`` with field operations and conjugation.  Floating
+Every exact computation in the package runs over Q(i).  A value
+(a + b*i)/d is stored as three Python ints in normal form: d > 0 and
+gcd(a, b, d) = 1, so zero is (0, 0, 1) and equal values have equal
+triples.  A field operation builds no ``Fraction`` and takes at most one
+``math.gcd``, none when the result's denominator is 1.  Floating
 binary64 values appear only in the two explicitly quarantined code paths
 (unitary construction, Puiseux fallback) and are never mixed silently
 into exact data.
@@ -10,6 +13,7 @@ into exact data.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import ExactnessError
@@ -18,71 +22,95 @@ RatLike = Union[int, Fraction]
 
 
 class GaussianRational:
-    """Exact complex number a + b*i with rational a, b.
+    """Exact complex number (a + b*i)/d with integers a, b, d in normal form.
 
-    ``re`` and ``im`` are always ``Fraction``s.  Most coefficients met in
-    practice are real (integer ideals, real forms, real curves), so the
-    operators skip the arithmetic on a zero imaginary part: a product of
-    two reals is one ``Fraction`` product, a product with one real operand
-    two, a sum with a real operand adds no imaginary parts, and division by
-    a real divides each part.  Every short-cut gives the value of the
+    ``re`` and ``im`` read the parts as ``Fraction``s.  Most coefficients
+    met in practice are real (integer ideals, real forms, real curves), so
+    the operators skip the arithmetic on a zero imaginary part b: a
+    product of two reals is one integer product, and a sum or a division
+    by a real leaves b = 0 alone.  Every short-cut gives the value of the
     textbook formula exactly; it only leaves out products and sums known
-    to be zero."""
+    to be zero.  A real value compares and hashes like its ``Fraction``."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RatLike = 0, im: RatLike = 0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        a, q = _ratio(re)
+        b, s = _ratio(im)
+        if q == s:
+            self._a, self._b, self._d = a, b, q
+        else:  # over lcm(q, s) no prime divides both parts and d
+            d = q // gcd(q, s) * s
+            self._a, self._b, self._d = a * (d // q), b * (d // s), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- ring / field operations ------------------------------------------
 
     def __add__(self, other) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
             other = as_gauss(other)
-        b, d = self.im, other.im
-        return _gauss(self.re + other.re, (b + d if b else d) if d else b)
+        d, f = self._d, other._d
+        b, e = self._b, other._b
+        if d == f:
+            return _reduced(self._a + other._a, (b + e if b else e) if e else b, d)
+        return _reduced(
+            self._a * f + other._a * d, (b * f + e * d if b else e * d) if e else b * f, d * f
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
             other = as_gauss(other)
-        b, d = self.im, other.im
-        return _gauss(self.re - other.re, (b - d if b else -d) if d else b)
+        d, f = self._d, other._d
+        b, e = self._b, other._b
+        if d == f:
+            return _reduced(self._a - other._a, (b - e if b else -e) if e else b, d)
+        return _reduced(
+            self._a * f - other._a * d, (b * f - e * d if b else -e * d) if e else b * f, d * f
+        )
 
     def __rsub__(self, other) -> "GaussianRational":
         return as_gauss(other) - self
 
     def __neg__(self) -> "GaussianRational":
-        b = self.im
-        return _gauss(-self.re, -b if b else b)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
             other = as_gauss(other)
-        a, b = self.re, self.im
-        c, d = other.re, other.im
-        if not d:
-            return _gauss(a * c, b * c if b else b)
+        a, b = self._a, self._b
+        c, e = other._a, other._b
+        if not e:
+            return _reduced(a * c, b * c if b else b, self._d * other._d)
         if not b:
-            return _gauss(a * c, a * d)
-        return _gauss(a * c - b * d, a * d + b * c)
+            return _reduced(a * c, a * e, self._d * other._d)
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
             other = as_gauss(other)
-        c, d = other.re, other.im
-        if not d:
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not e:
             if not c:
                 raise ZeroDivisionError("division by zero Gaussian rational")
-            b = self.im
-            return _gauss(self.re / c, b / c if b else b)
-        a, b = self.re, self.im
-        n = c * c + d * d
-        return _gauss((a * c + b * d) / n, (b * c - a * d) / n)
+            if c < 0:
+                c, f = -c, -f
+            return _reduced(a * f, b * f if b else b, d * c)
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        if not b:
+            return _reduced(f * a * c, -f * a * e, d * (c * c + e * e))
+        return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * (c * c + e * e))
 
     def __rtruediv__(self, other) -> "GaussianRational":
         return as_gauss(other) / self
@@ -102,60 +130,89 @@ class GaussianRational:
     # -- structure ---------------------------------------------------------
 
     def conjugate(self) -> "GaussianRational":
-        b = self.im
-        return _gauss(self.re, -b if b else b)
+        return _make(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
         """|c|^2, exactly."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return not self._b and self._d == other.denominator and self._a == other.numerator
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
+        # int / int rounds correctly, as float(Fraction) does
         try:
-            return complex(float(self.re), float(self.im))
+            return complex(self._a / self._d, self._b / self._d)
         except OverflowError:
             raise ExactnessError(f"coefficient {self} is outside the floating range") from None
 
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        ims = f"{self.im}i" if abs(self.im) != 1 else ("i" if self.im > 0 else "-i")
-        if self.re == 0:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        ims = f"{im}i" if abs(im) != 1 else ("i" if im > 0 else "-i")
+        if re == 0:
             return ims
-        sep = "+" if self.im > 0 else ""
-        return f"{self.re}{sep}{ims}"
+        sep = "+" if im > 0 else ""
+        return f"{re}{sep}{ims}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+def _ratio(x) -> tuple:
+    """Numerator and positive denominator of an int or rational, coprime."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
 _new = object.__new__
 
 
-def _gauss(re: Fraction, im: Fraction) -> GaussianRational:
-    """A Gaussian rational from two ``Fraction``s, without coercion."""
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """(a + bi)/d from a triple already in normal form."""
     out = _new(GaussianRational)
-    out.re = re
-    out.im = im
+    out._a = a
+    out._b = b
+    out._d = d
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + bi)/d in normal form, for d > 0."""
+    out = _new(GaussianRational)
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    out._a = a
+    out._b = b
+    out._d = d
     return out
 
 
@@ -168,6 +225,8 @@ def as_gauss(x) -> GaussianRational:
     """Coerce ints, Fractions or (re, im) pairs into the exact field."""
     if isinstance(x, GaussianRational):
         return x
+    if type(x) is int:
+        return _make(x, 0, 1)
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
     if isinstance(x, tuple) and len(x) == 2:

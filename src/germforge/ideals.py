@@ -274,9 +274,6 @@ class CodimReport:
     variable_certificates: List[VariableCertificate] = field(default_factory=list)
     lower_bound: int = 0
 
-    def dim_at(self, k: int) -> int:
-        return self.dims[k - 1]
-
     def __str__(self) -> str:
         from .formats import format_codim_report
 

@@ -102,7 +102,8 @@ def _principal_branch_curves(g: TruncSeries, N: int) -> List[FormalCurve]:
         try:
             _, P = weierstrass_prepare(gp, min(N, gp.precision))
             line = generic_restrict(P)
-            branches = newton_puiseux(line.restricted, min(N, line.restricted.precision))
+            branches = newton_puiseux(line.restricted, min(N, line.restricted.precision),
+                                      disc=line.discriminant_on_line)
         except (NotRegularError, DiscriminantError, PrecisionError):
             continue
         for b in branches:

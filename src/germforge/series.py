@@ -22,10 +22,6 @@ from .errors import (
 Multidegree = tuple  # tuple of non-negative ints, one per variable
 
 
-def total_degree(J: Multidegree) -> int:
-    return sum(J)
-
-
 def compare(J: Multidegree, K: Multidegree) -> int:
     """Total order on multidegrees: by total degree, ties broken entrywise
     with the smaller entry first.  Returns -1, 0 or +1."""

@@ -14,8 +14,6 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .coeffs import GaussianRational, ZERO, ONE, I as IMAG, as_gauss
 from .errors import (
     BlockSizeError,
@@ -418,6 +416,8 @@ class UnitaryBlock:
         if mode == "exact":
             self.entries = tuple(tuple(as_gauss(c) for c in row) for row in entries)
         else:
+            import numpy as np
+
             self.entries = np.asarray(entries, dtype=complex)
 
     @classmethod
@@ -462,6 +462,8 @@ class UnitaryBlock:
                 else:
                     out.append(padded[i])
             return out
+        import numpy as np
+
         padded = [complex(v) for v in vec] + [0j] * (n - len(vec))
         out = list(self.entries @ np.asarray(padded[: self.size])) + padded[self.size:]
         return out
@@ -479,6 +481,8 @@ class UnitaryBlock:
                     diff = acc - target
                     worst = max(worst, abs(complex(diff)))
             return worst
+        import numpy as np
+
         U = self.entries
         return float(np.max(np.abs(U @ U.conj().T - np.eye(self.size))))
 
@@ -579,6 +583,8 @@ def _exact_orthogonal_match(Fx, Gx, nz, s) -> Optional[UnitaryBlock]:
 
 
 def _float_match(Fx, Gx, s, tol) -> UnitaryBlock:
+    import numpy as np
+
     Fc = np.array([[complex(c) for c in v] for v in Fx], dtype=complex).T
     Gc = np.array([[complex(c) for c in v] for v in Gx], dtype=complex).T
     qg: List[np.ndarray] = []

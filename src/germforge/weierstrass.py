@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .coeffs import GaussianRational, ZERO, ONE, as_gauss, gauss_from_complex
 from .errors import (
     DimensionMismatch,
@@ -307,11 +305,13 @@ class LineRestriction:
     discriminant_on_line: TruncSeries
 
 
-def _nonzero_discriminant(P: WeierstrassPoly) -> TruncSeries:
-    """discriminant(P), which must not vanish through its precision.  That
-    precision is P's, so a reduced input whose discriminant starts beyond
-    it fails too; the error names both orders."""
-    D = discriminant(P)
+def _nonzero_discriminant(P: WeierstrassPoly, D: Optional[TruncSeries] = None) -> TruncSeries:
+    """discriminant(P), or D when the caller has it already, which must not
+    vanish through its precision.  That precision is P's, so a reduced
+    input whose discriminant starts beyond it fails too; the error names
+    both orders."""
+    if D is None:
+        D = discriminant(P)
     if D.is_zero():
         raise DiscriminantError(
             f"discriminant vanishes through its precision {D.precision} (preparation "
@@ -501,6 +501,8 @@ def _poly_deflate(
 
 
 def _numeric_roots(coeffs: List[complex]) -> List[complex]:
+    import numpy as np
+
     arr = np.array(list(reversed(coeffs)), dtype=complex)
     arr = np.trim_zeros(arr, "f")
     if arr.size <= 1:
@@ -752,14 +754,16 @@ def _puiseux_rec(
 
 
 def newton_puiseux(
-    P: WeierstrassPoly, N: int, exact_only: bool = False
+    P: WeierstrassPoly, N: int, exact_only: bool = False, disc: Optional[TruncSeries] = None
 ) -> List[PuiseuxBranch]:
     """All branches of a one-base-variable Weierstrass polynomial, each with
     its ramification and a residual certified through order N.
 
     Requires a nonzero discriminant within precision (reduced input);
-    characteristic roots outside the Gaussian rationals yield floating
-    branches with a recorded tolerance, or are skipped under ``exact_only``."""
+    ``disc`` is P's discriminant when the caller has computed it already,
+    as ``LineRestriction.discriminant_on_line``.  Characteristic roots
+    outside the Gaussian rationals yield floating branches with a recorded
+    tolerance, or are skipped under ``exact_only``."""
     if P.base_vars != 1:
         raise DimensionMismatch(
             "newton_puiseux expects one base variable; use generic_restrict first"
@@ -768,7 +772,7 @@ def newton_puiseux(
         raise PrecisionError(
             f"coefficients certified to {P.precision} < requested order {N}"
         )
-    _nonzero_discriminant(P)
+    _nonzero_discriminant(P, disc)
     coeffs: List[Ser] = [b.with_precision(N) for b in P.coeffs]
     coeffs.append(TruncSeries.constant(1, N, 1))
     branches = []

@@ -1,19 +1,29 @@
 """The Gaussian-rational kernel against the textbook formulas on pairs.
 
-The operators skip arithmetic on zero imaginary parts; drawing values
-heavily from zero, pure real and pure imaginary numbers makes every such
-short-cut meet the formula it replaces."""
+The kernel stores (a + bi)/d as three ints and skips arithmetic on zero
+imaginary parts; the oracle below works on pairs of ``Fraction``s.
+Drawing values heavily from zero, pure real and pure imaginary numbers
+makes every short-cut meet the formula it replaces, denominators built
+from a few shared primes make the two parts (and the two operands) share
+a factor with only one of the others, and parts up to 10^12 exercise the
+gcd on large integers."""
 
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from germforge.coeffs import GaussianRational
 
+BIG = 10**12
+
+smooth_dens = st.lists(st.sampled_from([2, 3, 5, 7]), max_size=4).map(prod)
 rationals = st.one_of(
     st.just(Fraction(0)),
     st.fractions(-5, 5, max_denominator=6),
+    st.builds(Fraction, st.integers(-30, 30), smooth_dens),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
 )
 gauss = st.one_of(
     st.just(GaussianRational(0)),
@@ -21,7 +31,12 @@ gauss = st.one_of(
     st.builds(lambda b: GaussianRational(0, b), rationals),
     st.builds(GaussianRational, rationals, rationals),
 )
-scalars = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+scalars = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-BIG, BIG),
+    st.fractions(-3, 3, max_denominator=4),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
 
 
 def pair(x):
@@ -54,10 +69,19 @@ def power(p, e):
     return div((Fraction(1), Fraction(0)), out) if e < 0 else out
 
 
+def normal(x):
+    """The stored triple: d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1)."""
+    a, b, d = x._a, x._b, x._d
+    assert type(a) is type(b) is type(d) is int
+    assert d > 0 and gcd(a, b, d) == 1
+    return a, b, d
+
+
 def same(got, expected):
     assert type(got) is GaussianRational
     assert type(got.re) is type(got.im) is Fraction
     assert (got.re, got.im) == expected
+    assert normal(got) == normal(GaussianRational(*expected))
 
 
 @given(gauss, st.one_of(gauss, scalars))
@@ -89,3 +113,52 @@ def test_powers_match_repeated_pair_products(x, e):
             x**e
         return
     same(x**e, power(pair(x), e))
+
+
+@given(rationals, rationals)
+@settings(max_examples=300, deadline=None)
+def test_construction_is_in_normal_form(re, im):
+    x = GaussianRational(re, im)
+    a, b, d = normal(x)
+    assert (x.re, x.im) == (Fraction(a, d), Fraction(b, d)) == (re, im)
+    if not re and not im:
+        assert (a, b, d) == (0, 0, 1)
+
+
+@given(gauss, st.one_of(st.fractions(0, 5, max_denominator=BIG), rationals))
+@settings(max_examples=300, deadline=None)
+def test_division_by_negative_reals_and_pure_imaginaries(x, q):
+    p = pair(x)
+    for y in (GaussianRational(-q), GaussianRational(0, q), GaussianRational(0, -q)):
+        if not q:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            continue
+        same(x / y, div(p, pair(y)))
+        if x:
+            same(y / x, div(pair(y), p))
+
+
+@given(rationals)
+@settings(max_examples=300, deadline=None)
+def test_real_values_compare_and_hash_like_their_fractions(q):
+    x = GaussianRational(q)
+    assert x == q and q == x
+    assert hash(x) == hash(q)
+    assert {q: 1}[x] == 1 and {x: 1}[q] == 1
+    if q.denominator == 1:
+        n = int(q)
+        assert x == n and n == x
+        assert hash(x) == hash(n)
+        assert {n: 1}[x] == 1
+    assert x != GaussianRational(q, 1) and GaussianRational(q, 1) != q
+
+
+def test_hash_and_eq_examples():
+    assert {Fraction(3, 4): 1}[GaussianRational(Fraction(3, 4))] == 1
+    assert {3: "three"}[GaussianRational(Fraction(6, 2))] == "three"
+    assert GaussianRational(Fraction(1, 6), Fraction(1, 4)) == GaussianRational(
+        Fraction(2, 12), Fraction(3, 12)
+    )
+    assert normal(GaussianRational(Fraction(1, 6), Fraction(1, 4))) == (2, 3, 12)
+    assert GaussianRational(0, 1) != 1 and GaussianRational(1) != 1.5

@@ -340,6 +340,20 @@ def test_cli_puiseux_huge_coefficient_exit_one(tmp_path, capsys):
     assert "outside the floating range" in capsys.readouterr().err
 
 
+def test_import_leaves_numpy_unloaded():
+    """numpy loads only when a floating path runs: the Newton-Puiseux root
+    proposals or a floating unitary match."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys; import germforge.cli; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
     import argparse
 
@@ -434,6 +448,23 @@ def test_cli_puiseux_and_lift(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "vanishes through order" in out
+
+
+def test_cli_puiseux_computes_one_discriminant_per_job(tmp_path, capsys, monkeypatch):
+    """The branch expansion reuses the discriminant the line restriction
+    computed instead of taking the restricted polynomial's again."""
+    from germforge import weierstrass
+
+    calls = []
+    resultant = weierstrass.discriminant
+    monkeypatch.setattr(weierstrass, "discriminant", lambda P: calls.append(P) or resultant(P))
+    f = tmp_path / "sqrt.germ"
+    f.write_text("vars 3; N=24;\nz3^2 - z1^2 - z2^2 - z1^3;\n")
+    for order in (12, 20):
+        calls.clear()
+        assert main(["puiseux", "--N", str(order), str(f)]) == 0
+        assert "branch" in capsys.readouterr().out
+        assert len(calls) == 1
 
 
 def test_cli_search_reports_lower_bound_note(workdir, capsys):

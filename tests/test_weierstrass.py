@@ -30,7 +30,7 @@ from germforge.weierstrass import (
     weierstrass_prepare,
 )
 
-from conftest import g, mono, oracle_mul, oracle_pow, series, uni
+from conftest import g, mono, oracle_mul, oracle_pow, random_gauss, series, uni
 
 
 def wpoly(degree, *lower):
@@ -202,6 +202,25 @@ def test_restrict_two_vars_diagonal():
     assert L.direction == (1, 1)
     assert L.s_order == 2
     assert L.restricted.coeffs[0] == uni(40, {2: -ONE})
+
+
+def test_restricted_discriminant_is_the_discriminant_on_the_line():
+    """Restriction to a line is a ring map, so it commutes with the
+    resultant; the CLI hands discriminant_on_line to newton_puiseux instead
+    of taking the restricted polynomial's discriminant again."""
+    rng = random.Random(11)
+    for degree in (2, 3, 3, 4):
+        coeffs = [
+            TruncSeries(2, 10, {
+                (i, j): random_gauss(rng)
+                for i in range(4) for j in range(4) if 1 <= i + j <= 3 and rng.random() < 0.5
+            })
+            for _ in range(degree)
+        ]
+        L = generic_restrict(WeierstrassPoly(2, degree, coeffs))
+        D = discriminant(L.restricted)
+        assert D.precision == L.discriminant_on_line.precision
+        assert D.coeffs == L.discriminant_on_line.coeffs
 
 
 def test_restrict_unit_discriminant():
