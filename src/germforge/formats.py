@@ -164,11 +164,9 @@ def format_branch(b) -> str:
 def format_unitary(U) -> str:
     lines = [f"unitary block size {U.size} mode {U.mode}"
              + (f" tol {U.tolerance}" if U.tolerance else "")]
-    for i in range(U.size):
-        if U.is_exact:
-            lines.append("  [" + ", ".join(str(U.entries[i][j]) for j in range(U.size)) + "]")
-        else:
-            lines.append("  [" + ", ".join(f"{U.entries[i, j]:.6g}" for j in range(U.size)) + "]")
+    fmt = str if U.is_exact else "{:.6g}".format
+    for row in U.entries:
+        lines.append("  [" + ", ".join(fmt(c) for c in row) + "]")
     return "\n".join(lines)
 
 

@@ -103,12 +103,10 @@ def _principal_branch_curves(g: TruncSeries, N: int) -> List[FormalCurve]:
             _, P = weierstrass_prepare(gp, min(N, gp.precision))
             line = generic_restrict(P)
             branches = newton_puiseux(line.restricted, min(N, line.restricted.precision),
-                                      disc=line.discriminant_on_line)
+                                      exact_only=True, disc=line.discriminant_on_line)
         except (NotRegularError, DiscriminantError, PrecisionError):
             continue
         for b in branches:
-            if not b.is_exact:
-                continue
             comps = b.curve(line.direction).components
             if all(c.is_zero() for c in comps):
                 continue
@@ -254,7 +252,10 @@ def recheck_bundle(text: str) -> Tuple[int, str]:
     order = None
     for ln in text.splitlines():
         if ln.startswith("order:"):
-            order = int(ln.split(":")[1].strip())
+            try:
+                order = int(ln.split(":")[1].strip())
+            except ValueError:
+                raise GermforgeError(f"bundle order is not an integer: {ln!r}") from None
             break
     if r_text is None or order is None:
         raise GermforgeError("bundle is missing its embedded input or order")

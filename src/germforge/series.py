@@ -249,9 +249,12 @@ class TruncSeries:
     # -- univariate helpers ----------------------------------------------------------
 
     def shift(self, e: int) -> "TruncSeries":
-        """Multiply a univariate series by t^e."""
+        """Multiply a univariate series by t^e (e < 0 divides, and must leave
+        no negative exponent)."""
         if self.nvars != 1:
             raise DimensionMismatch("shift applies to univariate series")
+        if e < 0 and any(J[0] + e < 0 for J in self.coeffs):
+            raise ValueError("negative exponent after shift")
         return TruncSeries(
             1,
             self.precision + e,

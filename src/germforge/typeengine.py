@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .coeffs import GaussianRational, ZERO, ONE, I as IMAG, as_gauss
@@ -404,8 +404,8 @@ def monomial_curve_search(
 class UnitaryBlock:
     """k x k unitary matrix acting as the identity outside the block.
 
-    Entries are exact Gaussian rationals when the construction allowed it,
-    else complex floats with a recorded tolerance."""
+    Entries are rows of exact Gaussian rationals when the construction
+    allowed it, else rows of complex floats with a recorded tolerance."""
 
     __slots__ = ("size", "entries", "mode", "tolerance")
 
@@ -413,12 +413,8 @@ class UnitaryBlock:
         self.size = size
         self.mode = mode
         self.tolerance = tolerance
-        if mode == "exact":
-            self.entries = tuple(tuple(as_gauss(c) for c in row) for row in entries)
-        else:
-            import numpy as np
-
-            self.entries = np.asarray(entries, dtype=complex)
+        scalar = self._field()[0]
+        self.entries = tuple(tuple(scalar(c) for c in row) for row in entries)
 
     @classmethod
     def identity(cls, size: int) -> "UnitaryBlock":
@@ -429,62 +425,37 @@ class UnitaryBlock:
     def is_exact(self) -> bool:
         return self.mode == "exact"
 
+    def _field(self):
+        """(conversion, one, zero) of the entry field."""
+        return (as_gauss, ONE, ZERO) if self.is_exact else (complex, 1.0 + 0j, 0j)
+
     def entry(self, i: int, j: int):
         if i < self.size and j < self.size:
-            return self.entries[i][j] if self.is_exact else self.entries[i, j]
-        if self.is_exact:
-            return ONE if i == j else ZERO
-        return 1.0 + 0j if i == j else 0j
+            return self.entries[i][j]
+        _, one, zero = self._field()
+        return one if i == j else zero
 
     def adjoint(self) -> "UnitaryBlock":
-        if self.is_exact:
-            rows = [
-                [self.entries[j][i].conjugate() for j in range(self.size)]
-                for i in range(self.size)
-            ]
-            return UnitaryBlock(self.size, rows, "exact")
-        return UnitaryBlock(self.size, self.entries.conj().T, "floating", self.tolerance)
+        rows = [[c.conjugate() for c in col] for col in zip(*self.entries)]
+        return UnitaryBlock(self.size, rows, self.mode, self.tolerance)
 
     def apply(self, vec: Sequence) -> list:
         """Matrix action, identity beyond the block; exact blocks demand
         exact vectors."""
-        n = max(self.size, len(vec))
-        if self.is_exact:
-            padded = [as_gauss(v) for v in vec] + [ZERO] * (n - len(vec))
-            out = []
-            for i in range(n):
-                if i < self.size:
-                    acc = ZERO
-                    for j in range(self.size):
-                        if padded[j]:
-                            acc = acc + self.entries[i][j] * padded[j]
-                    out.append(acc)
-                else:
-                    out.append(padded[i])
-            return out
-        import numpy as np
-
-        padded = [complex(v) for v in vec] + [0j] * (n - len(vec))
-        out = list(self.entries @ np.asarray(padded[: self.size])) + padded[self.size:]
-        return out
+        scalar, _, zero = self._field()
+        padded = [scalar(v) for v in vec] + [zero] * (self.size - len(vec))
+        out = [sum((u * x for u, x in zip(row, padded) if x), zero) for row in self.entries]
+        return out + padded[self.size:]
 
     def unitarity_defect(self) -> float:
         """max |(U U* - I)_ij|; exactly 0.0 for verified exact blocks."""
-        if self.is_exact:
-            worst = 0.0
-            for i in range(self.size):
-                for j in range(self.size):
-                    acc = ZERO
-                    for k in range(self.size):
-                        acc = acc + self.entries[i][k] * self.entries[j][k].conjugate()
-                    target = ONE if i == j else ZERO
-                    diff = acc - target
-                    worst = max(worst, abs(complex(diff)))
-            return worst
-        import numpy as np
-
-        U = self.entries
-        return float(np.max(np.abs(U @ U.conj().T - np.eye(self.size))))
+        _, one, zero = self._field()
+        worst = 0.0
+        for i, ri in enumerate(self.entries):
+            for j, rj in enumerate(self.entries):
+                acc = sum((a * b.conjugate() for a, b in zip(ri, rj)), zero)
+                worst = max(worst, abs(complex(acc - (one if i == j else zero))))
+        return worst
 
     def __str__(self) -> str:
         from .formats import format_unitary
@@ -583,49 +554,53 @@ def _exact_orthogonal_match(Fx, Gx, nz, s) -> Optional[UnitaryBlock]:
 
 
 def _float_match(Fx, Gx, s, tol) -> UnitaryBlock:
-    import numpy as np
+    """Gram-Schmidt on the G_m with the F_m carried along, each side's
+    orthonormal set completed from the unit vectors, and U the sum of the
+    outer products of partners; both checks are against ``tol``."""
 
-    Fc = np.array([[complex(c) for c in v] for v in Fx], dtype=complex).T
-    Gc = np.array([[complex(c) for c in v] for v in Gx], dtype=complex).T
-    qg: List[np.ndarray] = []
-    qf: List[np.ndarray] = []
-    for m in range(Fc.shape[1]):
-        vg = Gc[:, m].copy()
-        vf = Fc[:, m].copy()
+    def vdot(u, v):
+        return sum((a.conjugate() * b for a, b in zip(u, v)), 0j)
+
+    def norm(v):
+        return sqrt(vdot(v, v).real)
+
+    def minus(v, c, b):
+        return [x - c * y for x, y in zip(v, b)]
+
+    qg: List[List[complex]] = []
+    qf: List[List[complex]] = []
+    for f, g in zip(Fx, Gx):
+        vg = [complex(c) for c in g]
+        vf = [complex(c) for c in f]
         for bg, bf in zip(qg, qf):
-            c = np.vdot(bg, vg)
-            vg -= c * bg
-            vf -= c * bf
-        ng = np.linalg.norm(vg)
+            c = vdot(bg, vg)
+            vg, vf = minus(vg, c, bg), minus(vf, c, bf)
+        ng = norm(vg)
         if ng > 1e-12:
-            qg.append(vg / ng)
-            qf.append(vf / ng)
+            qg.append([x / ng for x in vg])
+            qf.append([x / ng for x in vf])
 
-    def complete(basis: List[np.ndarray]) -> List[np.ndarray]:
-        out = []
+    def complete(basis: List[List[complex]]) -> List[List[complex]]:
+        out: List[List[complex]] = []
         for j in range(s):
-            v = np.zeros(s, dtype=complex)
-            v[j] = 1.0
+            v = [1.0 + 0j if k == j else 0j for k in range(s)]
             for b in basis + out:
-                v -= np.vdot(b, v) * b
-            nv = np.linalg.norm(v)
+                v = minus(v, vdot(b, v), b)
+            nv = norm(v)
             if nv > 1e-9:
-                out.append(v / nv)
+                out.append([x / nv for x in v])
             if len(basis) + len(out) == s:
                 break
         return out
 
-    cg = complete(qg)
-    cf = complete(qf)
-    U = np.zeros((s, s), dtype=complex)
-    for bg, bf in zip(qg, qf):
-        U += np.outer(bf, bg.conj())
-    for bg, bf in zip(cg, cf):
-        U += np.outer(bf, bg.conj())
+    pairs = list(zip(qg + complete(qg), qf + complete(qf)))
+    U = [[sum((bf[i] * bg[j].conjugate() for bg, bf in pairs), 0j) for j in range(s)]
+         for i in range(s)]
     block = UnitaryBlock(s, U, "floating", tol)
     if block.unitarity_defect() > tol:
         raise ExactnessError("floating unitary construction exceeded tolerance")
-    worst = float(np.max(np.abs(U @ Gc - Fc))) if Fc.size else 0.0
+    worst = max((abs(a - complex(b)) for g, f in zip(Gx, Fx) for a, b in zip(block.apply(g), f)),
+                default=0.0)
     if worst > tol:
         raise ExactnessError("floating unitary does not match the vectors within tolerance")
     return block

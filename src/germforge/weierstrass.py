@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, exp, gcd, log, pi
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .coeffs import GaussianRational, ZERO, ONE, as_gauss, gauss_from_complex
@@ -29,6 +29,10 @@ from .errors import (
 from .series import FormalCurve, TruncSeries, divide, inverse, pullback
 
 FLOAT_ZERO_EPS = 1e-12
+FLOAT_BRANCH_TOL = 1e-9  # recorded tolerance of a floating Puiseux branch
+ROOT_SWEEPS = 100  # Aberth-Ehrlich sweeps before the roots are returned as they stand
+ROOT_EPS = 2.0**-53  # unit roundoff: a root is frozen at |p(z)| <= ROOT_EPS * sum |a_k| |z|^k
+ROOT_START_ANGLE = 0.7  # offset of the starting points on each circle (Bini)
 
 
 # ---------------------------------------------------------------------------
@@ -348,132 +352,80 @@ def generic_restrict(P: WeierstrassPoly) -> LineRestriction:
 
 
 class FloatSeries:
-    """Univariate truncated series with complex binary64 coefficients; used
-    only when a Puiseux branch leaves the exact field."""
+    """Univariate truncated series with complex binary64 coefficients, keyed
+    by 1-tuples like a univariate TruncSeries; used only when a Puiseux
+    branch leaves the exact field.  A coefficient of modulus at most
+    FLOAT_ZERO_EPS counts as zero for is_zero, order and a negative shift,
+    which drops it."""
 
     __slots__ = ("precision", "coeffs")
 
-    def __init__(self, precision: int, coeffs: Optional[Dict[int, complex]] = None):
+    def __init__(self, nvars: int, precision: int, coeffs=None):
+        if nvars != 1:
+            raise DimensionMismatch("floating series are univariate")
         self.precision = precision
         self.coeffs = {
-            e: complex(c)
-            for e, c in (coeffs or {}).items()
-            if e <= precision and c != 0
+            J: complex(c) for J, c in (coeffs or {}).items() if 0 <= J[0] <= precision and c != 0
         }
 
     @classmethod
-    def from_exact(cls, s: TruncSeries) -> "FloatSeries":
-        return cls(s.precision, {J[0]: complex(c) for J, c in s.coeffs.items()})
+    def from_exact(cls, s: "Ser") -> "FloatSeries":
+        """s, exact or floating, with its coefficients as complex floats."""
+        return cls(1, s.precision, s.coeffs)
 
     @classmethod
-    def constant(cls, precision: int, c) -> "FloatSeries":
-        return cls(precision, {0: complex(c)})
+    def constant(cls, nvars: int, precision: int, c) -> "FloatSeries":
+        return cls(nvars, precision, {(0,): c})
 
-    def is_zero(self, eps: float = FLOAT_ZERO_EPS) -> bool:
-        return all(abs(c) <= eps for c in self.coeffs.values())
+    def is_zero(self) -> bool:
+        return all(abs(c) <= FLOAT_ZERO_EPS for c in self.coeffs.values())
 
-    def order(self, eps: float = FLOAT_ZERO_EPS) -> Optional[int]:
-        live = [e for e, c in self.coeffs.items() if abs(c) > eps]
+    def order(self) -> Optional[int]:
+        live = [J[0] for J, c in self.coeffs.items() if abs(c) > FLOAT_ZERO_EPS]
         return min(live) if live else None
 
     def coeff(self, e: int) -> complex:
-        return self.coeffs.get(e, 0j)
+        return self.coeffs.get((e,), 0j)
+
+    def with_precision(self, k: int) -> "FloatSeries":
+        return FloatSeries(1, min(k, self.precision), self.coeffs)
 
     def __add__(self, other: "FloatSeries") -> "FloatSeries":
-        prec = min(self.precision, other.precision)
-        out = {e: c for e, c in self.coeffs.items() if e <= prec}
-        for e, c in other.coeffs.items():
-            if e <= prec:
-                out[e] = out.get(e, 0j) + c
-        return FloatSeries(prec, out)
+        out = dict(self.coeffs)
+        for J, c in other.coeffs.items():
+            out[J] = out.get(J, 0j) + c
+        return FloatSeries(1, min(self.precision, other.precision), out)
 
     def __sub__(self, other: "FloatSeries") -> "FloatSeries":
         return self + other.scale(-1.0)
 
     def scale(self, c) -> "FloatSeries":
         c = complex(c)
-        return FloatSeries(self.precision, {e: c * v for e, v in self.coeffs.items()})
+        return FloatSeries(1, self.precision, {J: c * v for J, v in self.coeffs.items()})
 
     def __mul__(self, other: "FloatSeries") -> "FloatSeries":
         prec = min(self.precision, other.precision)
-        out: Dict[int, complex] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e <= prec:
-                    out[e] = out.get(e, 0j) + c1 * c2
-        return FloatSeries(prec, out)
+        out: Dict[tuple, complex] = {}
+        for (e1,), c1 in self.coeffs.items():
+            for (e2,), c2 in other.coeffs.items():
+                if e1 + e2 <= prec:
+                    out[(e1 + e2,)] = out.get((e1 + e2,), 0j) + c1 * c2
+        return FloatSeries(1, prec, out)
 
     def shift(self, e: int) -> "FloatSeries":
-        if e < 0 and any(
-            d + e < 0 and abs(c) > FLOAT_ZERO_EPS for d, c in self.coeffs.items()
-        ):
+        if any(d + e < 0 and abs(c) > FLOAT_ZERO_EPS for (d,), c in self.coeffs.items()):
             raise ValueError("negative exponent after shift")
-        return FloatSeries(
-            self.precision + e,
-            {d + e: c for d, c in self.coeffs.items() if d + e >= 0},
-        )
+        return FloatSeries(1, self.precision + e, {(d + e,): c for (d,), c in self.coeffs.items()})
 
     def substitute_power(self, m: int) -> "FloatSeries":
-        return FloatSeries(
-            self.precision * m, {d * m: c for d, c in self.coeffs.items()}
-        )
-
-    def truncate(self, k: int) -> "FloatSeries":
-        return FloatSeries(
-            min(k, self.precision), {e: c for e, c in self.coeffs.items() if e <= k}
-        )
-
-    def max_abs_through(self, k: int) -> float:
-        vals = [abs(c) for e, c in self.coeffs.items() if e <= k]
-        return max(vals) if vals else 0.0
+        return FloatSeries(1, self.precision * m, {(d * m,): c for (d,), c in self.coeffs.items()})
 
     def __repr__(self):
         items = sorted(self.coeffs.items())
-        return " + ".join(f"({c:.4g})*t^{e}" for e, c in items) or "0"
+        return " + ".join(f"({c:.4g})*t^{e}" for (e,), c in items) or "0"
 
 
 Ser = Union[TruncSeries, FloatSeries]
-
-
-def _is_exact(s: Ser) -> bool:
-    return isinstance(s, TruncSeries)
-
-
-def _ser_shift(s: Ser, e: int) -> Ser:
-    if not _is_exact(s):
-        return s.shift(e)
-    if e >= 0:
-        return s.shift(e)
-    if any(J[0] + e < 0 for J in s.coeffs):
-        raise ValueError("negative exponent after shift")
-    return TruncSeries(1, s.precision + e, {(J[0] + e,): c for J, c in s.coeffs.items()})
-
-
-def _ser_trunc(s: Ser, k: int) -> Ser:
-    if _is_exact(s):
-        return s.with_precision(min(k, s.precision))
-    return s.truncate(k)
-
-
-def _ser_coeff(s: Ser, e: int):
-    if _is_exact(s):
-        return s.coeffs.get((e,), ZERO)
-    return s.coeff(e)
-
-
-def _const_ser(prec: int, c, exact: bool) -> Ser:
-    return TruncSeries.constant(1, prec, c) if exact else FloatSeries.constant(prec, c)
-
-
-def _ser_pad(s: Ser, k: int) -> Ser:
-    """s restated at precision k >= s.precision with its unknown tail read
-    as zero: only for iterates, never for certified data."""
-    return TruncSeries(1, k, s.coeffs) if _is_exact(s) else FloatSeries(k, s.coeffs)
-
-
-def _to_float_list(coeffs: List[Ser]) -> List[FloatSeries]:
-    return [c if isinstance(c, FloatSeries) else FloatSeries.from_exact(c) for c in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +453,53 @@ def _poly_deflate(
 
 
 def _numeric_roots(coeffs: List[complex]) -> List[complex]:
-    import numpy as np
+    """Roots, with multiplicity, of the polynomial with ascending complex
+    coefficients: zero coefficients on top are trimmed, and each zero
+    coefficient at the bottom contributes a zero root, listed last.
 
-    arr = np.array(list(reversed(coeffs)), dtype=complex)
-    arr = np.trim_zeros(arr, "f")
-    if arr.size <= 1:
+    Aberth-Ehrlich iteration (Bini, Numer. Algorithms 13, 1996), started on
+    circles whose radii come from the upper Newton polygon of log|a_k|.  A
+    root is frozen once |p(z)| is within ROOT_EPS of the rounding bound
+    sum |a_k| |z|^k, and every root after ROOT_SWEEPS sweeps.  For real
+    coefficients, an imaginary part within ROOT_EPS of |z| is dropped."""
+    a = list(coeffs)
+    while a and a[-1] == 0:
+        a.pop()
+    if len(a) <= 1:
         return []
-    return list(np.roots(arr))
+    low = next(k for k, c in enumerate(a) if c != 0)
+    a = a[low:]
+    n = len(a) - 1
+    if n == 1:
+        return [-a[0] / a[1]] + [0j] * low
+    z: List[complex] = []
+    hull = _lower_hull([(k, -log(abs(c))) for k, c in enumerate(a) if c != 0])
+    for (k1, l1), (k2, l2) in zip(hull, hull[1:]):
+        for j in range(k2 - k1):
+            angle = 2 * pi * (j / (k2 - k1) + k1 / n) + ROOT_START_ANGLE
+            z.append(cmath.rect(exp((l2 - l1) / (k2 - k1)), angle))
+    mags = [abs(c) for c in a]
+    live = set(range(n))
+    for _ in range(ROOT_SWEEPS):
+        for i in sorted(live):
+            x = z[i]
+            p, dp, bound = a[n], 0j, mags[n]
+            for k in range(n - 1, -1, -1):
+                dp = dp * x + p
+                p = p * x + a[k]
+                bound = bound * abs(x) + mags[k]
+            if abs(p) <= ROOT_EPS * bound:
+                live.discard(i)
+                continue
+            pull = sum(1 / (x - y) for y in z if y != x)
+            step = dp - p * pull
+            if step:
+                z[i] = x - p / step
+        if not live:
+            break
+    if not any(c.imag for c in a):  # a real root keeps no rounding-level imaginary part
+        z = [complex(x.real) if abs(x.imag) <= ROOT_EPS * abs(x) else x for x in z]
+    return z + [0j] * low
 
 
 def _cluster(roots: List[complex], tol: float = 1e-8) -> List[Tuple[complex, int]]:
@@ -610,7 +602,7 @@ class PuiseuxBranch:
     __repr__ = __str__
 
 
-def _regular_root(coeffs: List[Ser], N: int, exact: bool) -> Ser:
+def _regular_root(coeffs: List[Ser], N: int) -> Ser:
     """The solution w(t), w(0) = 0, of P(w) = sum c_i w^i = 0 when the
     vanishing root is simple (c_0(0) = 0, c_1(0) invertible).
 
@@ -622,27 +614,28 @@ def _regular_root(coeffs: List[Ser], N: int, exact: bool) -> Ser:
     capped at N; w is returned at precision N, with no terms of degree 0
     or above M.  A floating coefficient w_e is dropped when its share
     c_1(0) w_e of the residual is at most FLOAT_ZERO_EPS."""
+    S = type(coeffs[0])
     M = min([N, coeffs[0].precision] + [c.precision for c in coeffs[1:] if not c.is_zero()])
-    cs = [coeffs[0]] + [_const_ser(M, 0, exact) if c.is_zero() else c for c in coeffs[1:]]
+    cs = [coeffs[0]] + [S(1, M) if c.is_zero() else c for c in coeffs[1:]]
     # w and v are our own iterates: restated at precision M, tails read as 0
-    w = _const_ser(M, 0, exact)
-    c1_0 = _ser_coeff(cs[1], 0)
-    v = _const_ser(M, 1 / c1_0, exact)
+    w = S(1, M)
+    c1_0 = cs[1].coeff(0)
+    v = S.constant(1, M, 1 / c1_0)
     a = 0
     while a < M:
         p = min(2 * a + 1, M)
-        wp, wa = _ser_trunc(w, p), _ser_trunc(w, a)
+        wp, wa = w.with_precision(p), w.with_precision(a)
         r = d = cs[-1]
         for c in reversed(cs[1:-1]):
             r = r * wp + c
             d = d * wa + r
         r = r * wp + cs[0]
-        v = _ser_pad(v.scale(2) - v * _ser_trunc(d * v, a), M)
-        w = _ser_pad(w - v * r, M)
+        v = S(1, M, (v.scale(2) - v * (d * v).with_precision(a)).coeffs)
+        w = S(1, M, (w - v * r).coeffs)
         a = p
-    if exact:
-        return _ser_pad(w, N)
-    return FloatSeries(N, {e: c for e, c in w.coeffs.items() if e and abs(c1_0 * c) > FLOAT_ZERO_EPS})
+    if S is TruncSeries:
+        return S(1, N, w.coeffs)
+    return S(1, N, {J: c for J, c in w.coeffs.items() if J[0] and abs(c1_0 * c) > FLOAT_ZERO_EPS})
 
 
 def _lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -660,43 +653,33 @@ def _lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return hull
 
 
-def _transform(
-    coeffs: List[Ser], q: int, m_e: int, l_const: int, c_lead, N: int, exact: bool
-) -> List[Ser]:
+def _transform(coeffs: List[Ser], q: int, m_e: int, l_const: int, c_lead, N: int) -> List[Ser]:
     """Coefficients of P(tau^q, tau^m_e (c + w')) / tau^l_const in w'."""
     deg = len(coeffs) - 1
-    out: List[Ser] = [_const_ser(N, 0, exact) for _ in range(deg + 1)]
-    subs: List[Optional[Ser]] = []
-    for i, c in enumerate(coeffs):
-        if c.is_zero():
-            subs.append(None)
-        else:
-            expanded = c.substitute_power(q)
-            subs.append(_ser_trunc(_ser_shift(expanded, m_e * i - l_const), N))
-    cpow = [as_gauss(1) if exact else 1 + 0j]
+    out: List[Ser] = [type(coeffs[0])(1, N) for _ in range(deg + 1)]
+    cpow = [c_lead**0]  # ONE or 1+0j: the one of c_lead's field
     for _ in range(deg):
         cpow.append(cpow[-1] * c_lead)
-    for i, base in enumerate(subs):
-        if base is None:
+    for i, c in enumerate(coeffs):
+        if c.is_zero():
             continue
+        base = c.substitute_power(q).shift(m_e * i - l_const).with_precision(N)
         for s in range(i + 1):
             out[s] = out[s] + base.scale(cpow[i - s] * comb(i, s))
-    return [_ser_trunc(o, N) for o in out]
+    return [o.with_precision(N) for o in out]
 
 
 def _puiseux_rec(
-    coeffs: List[Ser], N: int, exact: bool, exact_only: bool, depth: int
-) -> List[Tuple[int, Ser, bool]]:
-    """Branches (ramification, w-series, exactness) with w(0) = 0 of the
-    polynomial sum_i c_i(t) w^i."""
+    coeffs: List[Ser], N: int, exact_only: bool, depth: int
+) -> List[Tuple[int, Ser]]:
+    """Branches (ramification, w-series) with w(0) = 0 of the polynomial
+    sum_i c_i(t) w^i; a branch is exact when its w is a TruncSeries."""
     if depth > N + 8:
         raise GermforgeError("Newton-polygon recursion failed to terminate")
-    out: List[Tuple[int, Ser, bool]] = []
     i0 = next((i for i, c in enumerate(coeffs) if not c.is_zero()), None)
     if i0 is None:
         raise GermforgeError("polynomial vanishes identically to precision")
-    for _ in range(i0):
-        out.append((1, _const_ser(N, 0, exact), exact))
+    out: List[Tuple[int, Ser]] = [(1, type(coeffs[0])(1, N)) for _ in range(i0)]
     coeffs = coeffs[i0:]
     if len(coeffs) == 1:
         return out
@@ -708,7 +691,7 @@ def _puiseux_rec(
             "every w-coefficient vanishes at the base point; polygon degenerates"
         )
     if mu == 1:
-        out.append((1, _regular_root(coeffs, N, exact), exact))
+        out.append((1, _regular_root(coeffs, N)))
         return out
     points = [(i, c.order()) for i, c in enumerate(coeffs) if c.order() is not None]
     hull = _lower_hull([p for p in points if p[0] <= mu])
@@ -720,36 +703,25 @@ def _puiseux_rec(
         m_e, q = rise // g, run // g
         width = run // q
         # reduced characteristic polynomial in eta = c^q
-        psi = [_ser_coeff(coeffs[i1 + s * q], j1 - s * m_e) for s in range(width + 1)]
-        if exact:
+        psi = [coeffs[i1 + s * q].coeffs.get((j1 - s * m_e,), ZERO) for s in range(width + 1)]
+        if isinstance(coeffs[0], TruncSeries):
             exact_roots, float_roots = poly_roots_exact_first(psi)
         else:
             exact_roots, float_roots = [], _cluster(_numeric_roots([complex(v) for v in psi]))
-        root_list = [(r, m, True) for r, m in exact_roots] + [
-            (r, m, False) for r, m in float_roots
-        ]
         l_const = q * j1 + m_e * i1
-        for xi, _mult, xi_exact in root_list:
-            branch_exact = exact and xi_exact
-            if branch_exact:
-                c_lead = _nth_root_exact(xi, q)
-                if c_lead is None:
-                    branch_exact = False
-            if not branch_exact:
+        for xi, _mult in exact_roots + float_roots:
+            c_lead = _nth_root_exact(xi, q) if isinstance(xi, GaussianRational) else None
+            work = coeffs
+            if c_lead is None:
                 if exact_only:
                     continue
                 c_lead = complex(xi) ** (1.0 / q)
-            work = coeffs if branch_exact else _to_float_list(coeffs)
-            trans = _transform(work, q, m_e, l_const, c_lead, N, branch_exact)
-            for d_sub, w_sub, sub_exact in _puiseux_rec(
-                trans, N, branch_exact, exact_only, depth + 1
+                work = [FloatSeries.from_exact(c) for c in coeffs]
+            for d_sub, w_sub in _puiseux_rec(
+                _transform(work, q, m_e, l_const, c_lead, N), N, exact_only, depth + 1
             ):
-                d = q * d_sub
-                if not sub_exact:
-                    w_sub = _to_float_list([w_sub])[0]
-                inner = _const_ser(N, c_lead, sub_exact) + w_sub
-                w = _ser_trunc(_ser_shift(inner, m_e * d_sub), N)
-                out.append((d, w, sub_exact))
+                inner = type(w_sub).constant(1, N, c_lead) + w_sub
+                out.append((q * d_sub, inner.shift(m_e * d_sub).with_precision(N)))
     return out
 
 
@@ -763,7 +735,8 @@ def newton_puiseux(
     ``disc`` is P's discriminant when the caller has computed it already,
     as ``LineRestriction.discriminant_on_line``.  Characteristic roots
     outside the Gaussian rationals yield floating branches with a recorded
-    tolerance, or are skipped under ``exact_only``."""
+    tolerance, or are skipped under ``exact_only``; a floating branch whose
+    residual exceeds that tolerance raises ExactnessError."""
     if P.base_vars != 1:
         raise DimensionMismatch(
             "newton_puiseux expects one base variable; use generic_restrict first"
@@ -776,14 +749,18 @@ def newton_puiseux(
     coeffs: List[Ser] = [b.with_precision(N) for b in P.coeffs]
     coeffs.append(TruncSeries.constant(1, N, 1))
     branches = []
-    for d, w, is_exact in _puiseux_rec(coeffs, N, True, exact_only, 0):
-        res_bound = _branch_residual(P, d, w, N, is_exact)
+    for d, w in _puiseux_rec(coeffs, N, exact_only, 0):
+        exact = isinstance(w, TruncSeries)
+        res_bound = _branch_residual(P, d, w, N)
+        if not exact and not res_bound <= FLOAT_BRANCH_TOL:
+            raise ExactnessError(f"floating branch d={d} leaves residual {res_bound:.3g} "
+                                 f"through order {N}, above its tolerance {FLOAT_BRANCH_TOL}")
         branches.append(
             PuiseuxBranch(
                 ramification=d,
                 w=w,
-                mode="exact" if is_exact else "floating",
-                tolerance=None if is_exact else 1e-9,
+                mode="exact" if exact else "floating",
+                tolerance=None if exact else FLOAT_BRANCH_TOL,
                 certified_order=N,
                 residual_bound=res_bound,
             )
@@ -791,20 +768,21 @@ def newton_puiseux(
     return branches
 
 
-def _branch_residual(P: WeierstrassPoly, d: int, w: Ser, N: int, is_exact: bool) -> float:
+def _branch_residual(P: WeierstrassPoly, d: int, w: Ser, N: int) -> float:
     """Largest surviving coefficient magnitude of P(t^d, w(t)) through order N
     (0.0 when everything cancels; exact zero for exact branches), evaluated
     by Horner in P.degree products."""
+    S = type(w)
     cs = [b.with_precision(N).substitute_power(d).with_precision(N) for b in P.coeffs]
-    if not is_exact:
-        cs, w = _to_float_list(cs), _to_float_list([w])[0]
-    w = _ser_trunc(w, N)
-    res = _const_ser(N, 1, is_exact)
+    if S is FloatSeries:
+        cs = [FloatSeries.from_exact(c) for c in cs]
+    w = w.with_precision(N)
+    res = S.constant(1, N, 1)
     for c in reversed(cs):
-        res = _ser_trunc(res * w, N) + c
-    if is_exact:
+        res = (res * w).with_precision(N) + c
+    if S is TruncSeries:
         return max((float(c.norm2()) for c in res.coeffs.values()), default=0.0) ** 0.5
-    return res.max_abs_through(N)
+    return max((abs(c) for c in res.coeffs.values()), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from germforge.coeffs import GaussianRational, ONE, ZERO, I as IMAG

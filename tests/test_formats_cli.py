@@ -309,6 +309,30 @@ def test_cli_recheck_rejects_bundle_order_below_one(workdir, capsys, order):
     assert "bundle order must be >= 1" in capsys.readouterr().err
 
 
+def test_cli_recheck_rejects_bundle_order_not_an_integer(workdir, capsys):
+    bundle = workdir / "bundle.txt"
+    bundle.write_text(
+        f"{BUNDLE_HEADER}\ncommand: pipeline\norder: x\n"
+        + formats.emit_block("hermitian input", WITNESS_FORM)
+        + formats.emit_block("curve witness", WITNESS_CURVE)
+    )
+    code = main(["witness", str(bundle)])
+    assert code == 1
+    assert "error: bundle order is not an integer" in capsys.readouterr().err
+
+
+def test_cli_puiseux_floating_branch_missing_its_tolerance_exit_one(tmp_path, capsys):
+    """The characteristic roots +-sqrt(2) are double, so no ramification-1
+    floating expansion solves the equation: it is an error, not a branch."""
+    f = tmp_path / "double.germ"
+    f.write_text("vars 2; N=20;\nz2^4 - 4 z1^2 z2^2 + 4 z1^4 - z1^5;\n")
+    code = main(["puiseux", "--N", "20", str(f)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "branch d=" not in captured.out
+    assert "above its tolerance 1e-09" in captured.err and "leaves residual" in captured.err
+
+
 def test_cli_puiseux_order_below_w_order_exit_one(tmp_path, capsys):
     f = tmp_path / "cusp.germ"
     f.write_text("vars 2; N=45;\nz2^2 - z1^3;\n")
@@ -340,18 +364,44 @@ def test_cli_puiseux_huge_coefficient_exit_one(tmp_path, capsys):
     assert "outside the floating range" in capsys.readouterr().err
 
 
-def test_import_leaves_numpy_unloaded():
-    """numpy loads only when a floating path runs: the Newton-Puiseux root
-    proposals or a floating unitary match."""
+def test_import_leaves_numpy_unloaded(tmp_path):
+    """germforge never loads numpy, not even on its floating paths: a
+    floating Puiseux job, a lift and a floating unitary match."""
     import os
     import subprocess
     import sys
 
+    (tmp_path / "sqrt2.germ").write_text("vars 2; N=20;\nz2^2 - 2*z1^2;\n")
+    (tmp_path / "nf.germ").write_text(LIFT_IDEAL)
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = "import sys; import germforge.cli; assert 'numpy' not in sys.modules"
+    code = """if True:
+        import sys
+        from fractions import Fraction
+        from germforge.cli import main
+        from germforge.typeengine import match_unitary
+        assert main(["puiseux", "--N", "12", "sqrt2.germ"]) == 0
+        assert main(["lift", "--N", "12", "nf.germ"]) == 0
+        assert not match_unitary([[Fraction(3, 5), Fraction(4, 5)]], [[1, 0]]).is_exact
+        assert 'numpy' not in sys.modules
+    """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+    assert "floating" in proc.stdout and "vanishes through order" in proc.stdout
+
+
+def test_package_imports_no_numpy():
+    import ast
+
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "germforge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "numpy" for n in names), f"{path.name}:{node.lineno}"
 
 
 def test_cli_builds_its_parser_once(tmp_path, monkeypatch):

@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -405,6 +404,59 @@ def _apply_matrix(rows, vec):
         sum((rows[i][j] * vec[j] for j in range(len(vec))), ZERO)
         for i in range(len(rows))
     ]
+
+
+def _numpy_float_match(F, G):
+    """The floating block as a numpy construction builds it: Gram-Schmidt
+    on the G_m with the F_m carried along, unit-vector completion on both
+    sides, and the sum of the partners' outer products."""
+    import numpy as np
+
+    Fc = np.array([[complex(c) for c in v] for v in F], dtype=complex)
+    Gc = np.array([[complex(c) for c in v] for v in G], dtype=complex)
+    s = Gc.shape[1]
+    qg, qf = [], []
+    for vg, vf in zip(Gc, Fc):
+        for bg, bf in zip(qg, qf):
+            c = np.vdot(bg, vg)
+            vg, vf = vg - c * bg, vf - c * bf
+        if np.linalg.norm(vg) > 1e-12:
+            qg.append(vg / np.linalg.norm(vg))
+            qf.append(vf / np.linalg.norm(vg))
+
+    def complete(basis):
+        out = []
+        for v in np.eye(s, dtype=complex):
+            for b in basis + out:
+                v = v - np.vdot(b, v) * b
+            if np.linalg.norm(v) > 1e-9:
+                out.append(v / np.linalg.norm(v))
+            if len(basis) + len(out) == s:
+                break
+        return out
+
+    return sum(np.outer(bf, bg.conj()) for bg, bf in zip(qg + complete(qg), qf + complete(qf)))
+
+
+def test_floating_blocks_agree_with_the_numpy_construction():
+    from test_acceptance import _exact_unitary
+
+    rng = random.Random(2024)  # the inputs of acceptance criterion 08
+    floating = 0
+    for _ in range(30):
+        dim = rng.randint(1, 4)
+        count = rng.randint(1, dim + 1)
+        G = _random_exact_vectors(rng, count, dim)
+        U0 = _exact_unitary(rng, dim)
+        F = [_apply_matrix(U0, v) for v in G]
+        res = match_unitary(F, G)
+        if res.is_exact:
+            continue
+        floating += 1
+        ref = _numpy_float_match(F, G)
+        assert all(isinstance(c, complex) for row in res.entries for c in row)
+        assert max(abs(res.entries[i][j] - ref[i, j]) for i in range(dim) for j in range(dim)) <= 1e-10
+    assert floating >= 20
 
 
 def test_match_constructed_pairs_roundtrip():

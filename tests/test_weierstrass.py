@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from germforge.series import FormalCurve, TruncSeries, pullback
 from germforge.weierstrass import (
     NormalForm,
     WeierstrassPoly,
+    _numeric_roots,
     _regular_root,
     associated_membership,
     discriminant,
     generic_restrict,
     newton_puiseux,
+    poly_roots_exact_first,
     prime_curve_lift,
     restrict_to_line,
     weierstrass_divide,
@@ -183,6 +186,83 @@ def test_discriminant_matches_numeric_root_separation():
     assert abs(Dval - prod) < 1e-8 * max(1.0, abs(prod))
 
 
+def _poly_mul(p, q):
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+@st.composite
+def rooted_poly(draw):
+    """An exact polynomial (ascending coefficients) built from chosen roots:
+    distinct Gaussian rationals with small denominators, each of
+    multiplicity <= 2, times irrational factors x^2 - m or x^3 - m, degree
+    <= 6; returns (coefficients, {exact root: multiplicity}, irrational
+    root count)."""
+    part = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    chosen = draw(st.lists(st.builds(GaussianRational, part, part), max_size=4, unique=True))
+    roots = {}
+    for r in chosen:
+        if sum(roots.values()) < 6:
+            roots[r] = min(draw(st.integers(1, 2)), 6 - sum(roots.values()))
+    irrational = 0
+    factors = [[-r, ONE] for r, m in roots.items() for _ in range(m)]
+    while sum(roots.values()) + irrational <= 3 and draw(st.booleans()):
+        degree = draw(st.sampled_from([2, 3]))
+        m = draw(st.sampled_from([2, 3, 5, 7] if degree == 2 else [2, 3, 4]))
+        factors.append([g(-m)] + [ZERO] * (degree - 1) + [ONE])
+        irrational += degree
+    poly = [draw(st.builds(GaussianRational, part, part).filter(bool))]
+    for f in factors:
+        poly = _poly_mul(poly, f)
+    return poly, roots, irrational
+
+
+def _double_root_error(poly, r):
+    """A priori accuracy of a double root r of poly in binary64: p(z) is
+    known to u * sum |a_k| |z|^k, and near r it is (p''(r)/2) (z - r)^2."""
+    bound = sum(abs(complex(c)) * abs(complex(r)) ** k for k, c in enumerate(poly))
+    half_second = sum((comb(k, 2) * c * r ** (k - 2) for k, c in enumerate(poly) if k > 1), ZERO)
+    return (2.0**-53 * bound / abs(complex(half_second))) ** 0.5
+
+
+@given(rooted_poly())
+@settings(max_examples=80, deadline=None)
+def test_numeric_roots_match_numpy_and_exact_roots_are_recovered(case):
+    """np.roots is the oracle.  A simple root agrees within 1e-6; a double
+    root is only determined to the square root of the rounding level, so
+    its tolerance grows with its a priori error.  poly_roots_exact_first
+    always returns true roots with their exact multiplicities, and all of
+    the chosen ones when every double root is accurate enough to snap."""
+    poly, roots, irrational = case
+    # the irrational factors x^2 - m, x^3 - m keep their roots at distance >= 0.05
+    # from the chosen ones, so their own accuracy stays near the simple-root level
+    slack = {r: _double_root_error(poly, r) for r, m in roots.items() if m == 2}
+    got = _numeric_roots([complex(c) for c in poly])
+    want = list(np.roots([complex(c) for c in reversed(poly)]))
+    assert len(got) == len(want) == len(poly) - 1
+    for z in want:  # match each oracle root to its nearest unused one
+        nearest = min(got, key=lambda x: abs(x - z))
+        tol = 1e-6 + sum(20 * e for r, e in slack.items() if abs(z - complex(r)) < 1e-3)
+        assert abs(nearest - z) <= tol
+        got.remove(nearest)
+    exact, floats = poly_roots_exact_first(poly)
+    assert all(roots.get(r) == m for r, m in exact)
+    assert sum(m for _, m in exact) + sum(m for _, m in floats) == len(poly) - 1
+    if all(e < 1e-8 for e in slack.values()):
+        assert dict(exact) == roots and len(exact) == len(roots)
+        assert sum(m for _, m in floats) == irrational
+
+
+def test_numeric_roots_trim_the_top_and_list_zero_roots_last():
+    assert _numeric_roots([0j, 0j, 2 + 0j, 0j]) == [0j, 0j]
+    assert _numeric_roots([0j, -6 + 0j, 2 + 0j, 0j]) == [3 + 0j, 0j]
+    assert _numeric_roots([5 + 0j, 0j]) == []
+    assert _numeric_roots([]) == []
+
+
 # ---------------------------------------------------------------------------
 # generic restriction
 # ---------------------------------------------------------------------------
@@ -303,6 +383,27 @@ def test_branch_floating_fallback_and_exact_only():
     assert newton_puiseux(P, 40, exact_only=True) == []
 
 
+def test_floating_branch_missing_its_tolerance_is_an_error():
+    # w^4 - 4t^2 w^2 + 4t^4 - t^5: the characteristic roots +-sqrt(2) are
+    # double, so a ramification-1 floating expansion cannot solve it
+    P = wpoly(4, {4: g(4), 5: g(-1)}, {}, {2: g(-4)}, {})
+    with pytest.raises(ExactnessError, match=r"residual .* above its tolerance 1e-09"):
+        newton_puiseux(P, 20)
+    assert newton_puiseux(P, 20, exact_only=True) == []
+
+
+def test_principal_branch_curves_never_expand_floating_branches(monkeypatch):
+    from germforge import pipeline, weierstrass
+
+    def refuse(s):
+        raise AssertionError("the pipeline entered the floating recursion")
+
+    monkeypatch.setattr(weierstrass.FloatSeries, "from_exact", staticmethod(refuse))
+    assert pipeline._principal_branch_curves(series(2, 30, {(0, 2): ONE, (2, 0): g(-2)}), 20) == []
+    curves = pipeline._principal_branch_curves(series(2, 30, {(0, 2): ONE, (3, 0): -ONE}), 20)
+    assert len(curves) == 1 and curves[0].components[0].coeffs == {(2,): ONE}
+
+
 def test_branch_zero_factor():
     # w(w - t): one zero branch, one linear branch
     P = wpoly(2, {}, {1: -ONE})
@@ -384,7 +485,7 @@ def regular_poly(draw):
 def test_regular_root_annihilates_through_its_precision(case):
     coeffs, N = case
     M = min([N, coeffs[0].precision] + [c.precision for c in coeffs[1:] if c])
-    w = _regular_root(coeffs, N, True)
+    w = _regular_root(coeffs, N)
     assert w.precision == N
     assert all(0 < e <= M for (e,) in w.coeffs)
     # independent residual: plain dict convolutions
