@@ -51,7 +51,7 @@ from .weierstrass import (
     weierstrass_divide,
     weierstrass_prepare,
 )
-from .pipeline import JobSpec, PipelineResult, recheck_bundle, run_pipeline
+from .pipeline import PipelineResult, recheck_bundle, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -98,7 +98,6 @@ __all__ = [
     "newton_puiseux",
     "prime_curve_lift",
     "associated_membership",
-    "JobSpec",
     "PipelineResult",
     "run_pipeline",
     "recheck_bundle",

@@ -19,13 +19,7 @@ from . import formats
 from .errors import GermforgeError
 from .hermitian import decompose
 from .ideals import codimension
-from .pipeline import (
-    BUNDLE_HEADER,
-    JobSpec,
-    check_base_point,
-    recheck_bundle,
-    run_pipeline,
-)
+from .pipeline import BUNDLE_HEADER, check_base_point, recheck_bundle, run_pipeline
 from .typeengine import dangelo_ratio, monomial_curve_search, witness_check
 from .weierstrass import (
     associated_membership,
@@ -65,35 +59,38 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise GermforgeError(f"input file not found: {path}")
-    return p.read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise GermforgeError(f"input file not found: {path}") from None
+    except OSError as exc:
+        raise GermforgeError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise GermforgeError(f"cannot read {path}: not UTF-8 text") from None
 
 
-def _need(job: JobSpec, count: int, what: str):
+def _need(job: argparse.Namespace, count: int, what: str):
     if len(job.inputs) != count:
         raise GermforgeError(f"{job.command} needs exactly {count} input(s): {what}")
 
 
-def _check_bounds(job: JobSpec):
-    for flag, value, least in (("--N", job.N, 1), ("--A", job.A, 1), ("--d", job.d, 0)):
-        if value < least:
+def _check_bounds(job: argparse.Namespace):
+    for flag, value, least in (
+        ("--N", job.N, 1), ("--A", job.A, 1), ("--d", job.d, 0),
+        ("--bound", job.bound, 1), ("--maxnu", job.maxnu, 0), ("--k", job.k, 0),
+    ):
+        if value is not None and value < least:
             raise GermforgeError(f"{flag} must be >= {least}, got {value}")
 
 
-def run_job(job: JobSpec) -> int:
+def run_job(job: argparse.Namespace) -> int:
+    """Run one parsed command line; returns its exit code."""
     _check_bounds(job)
     if job.command == "decompose":
         _need(job, 1, "a hermitian form file")
         r = formats.parse_hermitian(_read(job.inputs[0]))
         k = job.k if job.k is not None else r.precision
-        dec = decompose(r, k)
-        print(f"h = {formats.format_series(dec.h)}")
-        for (J, f), (_, g) in zip(dec.fs, dec.gs):
-            print(f"family {J}:")
-            print(f"  f = {formats.format_series(f)}")
-            print(f"  g = {formats.format_series(g)}")
+        print(formats.format_decomposition(decompose(r, k)))
         _maybe_emit(job, formats.format_hermitian_file(r))
         return 0
 
@@ -126,11 +123,10 @@ def run_job(job: JobSpec) -> int:
         _need(job, 1, "a hermitian form file")
         r = formats.parse_hermitian(_read(job.inputs[0]))
         results = monomial_curve_search(r, job.A, job.d)
-        for curve, ratio in results[:12]:
-            comps = ", ".join(formats.format_series(c, ["t"]) for c in curve.components)
-            print(f"ratio {ratio}  curve ({comps})")
-        if results and results[0][1].is_flagged:
-            print("note: flagged ratios certify vanishing only through the stated order")
+        if results:
+            print(formats.format_search(results, 12))
+            if results[0][1].is_flagged:
+                print("note: flagged ratios certify vanishing only through the stated order")
         return 0
 
     if job.command == "codim":
@@ -195,14 +191,7 @@ def run_job(job: JobSpec) -> int:
         _need(job, 1, "a hermitian form file")
         r_text = _read(job.inputs[0])
         r = formats.parse_hermitian(r_text)
-        result = run_pipeline(
-            r,
-            N=job.N,
-            A=job.A,
-            d=job.d,
-            bound=job.bound,
-            r_text=r_text,
-        )
+        result = run_pipeline(r, N=job.N, A=job.A, d=job.d, bound=job.bound, r_text=r_text)
         print(result.bundle, end="")
         _maybe_emit(job, result.bundle)
         return result.exit_code
@@ -210,26 +199,18 @@ def run_job(job: JobSpec) -> int:
     raise GermforgeError(f"unknown command {job.command!r}")
 
 
-def _maybe_emit(job: JobSpec, text: str):
+def _maybe_emit(job: argparse.Namespace, text: str):
     if job.emit_certificate:
-        Path(job.emit_certificate).write_text(text)
+        try:
+            Path(job.emit_certificate).write_text(text)
+        except OSError as exc:
+            raise GermforgeError(
+                f"cannot write certificate {job.emit_certificate}: {exc.strerror or exc}"
+            ) from None
 
 
 def main(argv=None) -> int:
-    ap = _build_argparser()
-    ns = ap.parse_args(argv)
-    job = JobSpec(
-        command=ns.command,
-        inputs=ns.inputs,
-        N=ns.N,
-        A=ns.A,
-        d=ns.d,
-        bound=ns.bound,
-        maxnu=ns.maxnu,
-        exact_only=ns.exact_only,
-        emit_certificate=ns.emit_certificate,
-        k=ns.k,
-    )
+    job = _build_argparser().parse_args(argv)
     try:
         return run_job(job)
     except GermforgeError as exc:

@@ -233,11 +233,3 @@ def as_gauss(x) -> GaussianRational:
         return GaussianRational(x[0], x[1])
     raise TypeError(f"cannot coerce {x!r} into a Gaussian rational")
 
-
-def gauss_from_complex(z: complex, max_den: int = 10**6):
-    """Nearest small-denominator Gaussian rational to a float; used only to
-    *propose* exact values that callers must verify before trusting."""
-    return GaussianRational(
-        Fraction(z.real).limit_denominator(max_den),
-        Fraction(z.imag).limit_denominator(max_den),
-    )

@@ -179,6 +179,22 @@ def format_witness(res) -> str:
     )
 
 
+def format_decomposition(dec) -> str:
+    lines = [f"h = {format_series(dec.h)}"]
+    for (J, f), (_, g) in zip(dec.fs, dec.gs):
+        lines += [f"family {J}:", f"  f = {format_series(f)}", f"  g = {format_series(g)}"]
+    return "\n".join(lines)
+
+
+def format_search(results, limit: int) -> str:
+    """The first ``limit`` (curve, ratio) rows of a monomial search, one a line."""
+    rows = []
+    for curve, ratio in results[:limit]:
+        comps = ", ".join(format_series(c, ["t"]) for c in curve.components)
+        rows.append(f"ratio {ratio}  curve ({comps})")
+    return "\n".join(rows)
+
+
 def format_codim_report(rep) -> str:
     lines = [
         "codimension report (dim of quotient by ideal + maximal-ideal powers)",

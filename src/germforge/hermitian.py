@@ -133,11 +133,8 @@ class HermitianForm:
         return HermitianForm(self.nvars, min(self.precision, other.precision), out)
 
     def __sub__(self, other: "HermitianForm") -> "HermitianForm":
-        neg = {k: -c for k, c in other.full_map().items()}
-        out = self.full_map()
-        for key, c in neg.items():
-            out[key] = out.get(key, ZERO) + c
-        return HermitianForm(self.nvars, min(self.precision, other.precision), out)
+        neg = {key: -c for key, c in other.full_map().items()}
+        return self + HermitianForm(other.nvars, other.precision, neg)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HermitianForm):

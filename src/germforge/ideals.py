@@ -28,8 +28,6 @@ from .series import Multidegree, TruncSeries, degree_key
 
 def monomials_up_to(nvars: int, k: int):
     """All exponent tuples of total degree <= k."""
-    if nvars == 1:
-        return [(d,) for d in range(k + 1)]
     out = []
     for d in range(k + 1):
         out.extend(monomials_of_degree(nvars, d))
@@ -304,49 +302,35 @@ def codimension(I: IdealPresentation, bound: int) -> CodimReport:
         for k in range(bound)
     ]
 
-    stab = None
-    for k in range(1, bound):
-        if dims[k - 1] == dims[k]:
-            stab = k
-            break
-
-    if stab is not None:
-        value = dims[stab - 1]
-        var_certs: List[VariableCertificate] = []
-        for j in range(I.nvars):
-            found = None
-            for e in range(1, min(value, level) + 1):
-                m = tuple(e if i == j else 0 for i in range(I.nvars))
-                residue, combo = span.express({m: ONE}, level)
-                if not residue:
-                    found = VariableCertificate(j, e, combo)
-                    break
-            if found is None:
+    stab = next((k for k in range(1, bound) if dims[k - 1] == dims[k]), None)
+    # dims[stab-1] == dims[stab] makes every degree-stab monomial a pivot, and
+    # the level span is an ideal of O/M0^(level+1), so by Nakayama it holds
+    # M0^stab.  Below stab each degree has a monomial that is no pivot, so no
+    # shallower layer lies inside: the certificate level is stab if stab <
+    # level, else there is none.  dims[0] == 1 and dims rises at each level
+    # before stab, so dims[stab-1] >= stab and each z_j finds a power by z_j^stab.
+    if stab is None or stab >= level:
+        return CodimReport(
+            nvars=I.nvars, bound=bound, dims=dims, verdict="unresolved", lower_bound=dims[-1]
+        )
+    value = dims[stab - 1]
+    var_certs: List[VariableCertificate] = []
+    for j in range(I.nvars):
+        for e in range(1, min(value, level) + 1):
+            m = tuple(e if i == j else 0 for i in range(I.nvars))
+            residue, combo = span.express({m: ONE}, level)
+            if not residue:
+                var_certs.append(VariableCertificate(j, e, combo))
                 break
-            var_certs.append(found)
-        if len(var_certs) == I.nvars:
-            cert_level = None
-            for ell in range(1, level):
-                if max_power_subset(I, ell, level):
-                    cert_level = ell
-                    break
-            if cert_level is not None:
-                return CodimReport(
-                    nvars=I.nvars,
-                    bound=bound,
-                    dims=dims,
-                    verdict="finite",
-                    value=value,
-                    certificate_level=cert_level,
-                    variable_certificates=var_certs,
-                    lower_bound=value,
-                )
     return CodimReport(
         nvars=I.nvars,
         bound=bound,
         dims=dims,
-        verdict="unresolved",
-        lower_bound=dims[-1],
+        verdict="finite",
+        value=value,
+        certificate_level=stab,
+        variable_certificates=var_certs,
+        lower_bound=value,
     )
 
 

@@ -1,15 +1,15 @@
 """End-to-end witness pipeline and the certificate bundle format.
 
-The pipeline chains: parse -> square decomposition -> (identity-seeded or
-supplied) unitary block -> matching ideal -> codimension diagnostics ->
-curve candidates from the monomial search and, for principal ideals, from
-Weierstrass preparation plus branch construction -> exact witness check.
+The pipeline chains: parse -> square decomposition -> identity unitary
+block -> matching ideal -> codimension diagnostics -> curve candidates from
+the monomial search and, for principal ideals, from Weierstrass preparation
+plus branch construction -> exact witness check.
 Exit code 0 means a certified witness at the requested order; 2 means no
 witness was found at these bounds, which is never a finite-type claim."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import formats
@@ -23,40 +23,16 @@ from .hermitian import Decomposition, HermitianForm, decompose
 from .ideals import CodimReport, IdealPresentation, codimension
 from .series import FormalCurve, TruncSeries
 from .typeengine import (
-    TypeRatio,
     UnitaryBlock,
     WitnessResult,
     build_ideal,
-    dangelo_ratio,
     equivalence_check,
     monomial_curve_search,
     witness_check,
 )
-from .weierstrass import (
-    NormalForm,
-    generic_restrict,
-    newton_puiseux,
-    prime_curve_lift,
-    weierstrass_prepare,
-)
+from .weierstrass import generic_restrict, newton_puiseux, weierstrass_prepare
 
 BUNDLE_HEADER = "germforge certificate v1"
-
-
-@dataclass
-class JobSpec:
-    """Bounds and flags for one CLI invocation."""
-
-    command: str
-    inputs: List[str] = field(default_factory=list)
-    N: int = 20
-    A: int = 3
-    d: int = 2
-    bound: int = 8
-    maxnu: int = 4
-    exact_only: bool = False
-    emit_certificate: Optional[str] = None
-    k: Optional[int] = None
 
 
 @dataclass
@@ -65,11 +41,6 @@ class PipelineResult:
     bundle: str
     curve: Optional[FormalCurve] = None
     witness: Optional[WitnessResult] = None
-    decomposition: Optional[Decomposition] = None
-    ideal: Optional[IdealPresentation] = None
-    codim: Optional[CodimReport] = None
-    search: Optional[List[Tuple[FormalCurve, TypeRatio]]] = None
-    equivalence: Optional[bool] = None
 
 
 def _permute_vars(s: TruncSeries, perm: Tuple[int, ...]) -> TruncSeries:
@@ -123,7 +94,6 @@ def run_pipeline(
     A: int = 3,
     d: int = 2,
     bound: int = 8,
-    U: Optional[UnitaryBlock] = None,
     r_text: Optional[str] = None,
 ) -> PipelineResult:
     """Full witness pipeline on a defining form; see the module docstring."""
@@ -136,20 +106,17 @@ def run_pipeline(
             f"restate the input with N >= {N}"
         )
     dec = decompose(r, r.precision)
-    block = U if U is not None else UnitaryBlock.identity(len(dec.fs))
+    block = UnitaryBlock.identity(len(dec.fs))
     ideal = build_ideal(dec, block)
     codim_bound = max(2, min(bound, ideal.precision))
     codim_rep = codimension(ideal, codim_bound)
-
-    curve_prec = max(N, r.precision * max(1, A))
-    search = monomial_curve_search(r, A, d, curve_precision=curve_prec)
+    search = monomial_curve_search(r, A, d)
 
     candidates: List[FormalCurve] = [c for c, ratio in search if ratio.is_flagged]
     if codim_rep.verdict != "finite":
         nonzero = [g for g in ideal.generators if not g.is_zero()]
         if len(nonzero) == 1:
-            for c in _principal_branch_curves(nonzero[0], N):
-                candidates.append(c)
+            candidates.extend(_principal_branch_curves(nonzero[0], N))
 
     witness: Optional[WitnessResult] = None
     winner: Optional[FormalCurve] = None
@@ -187,11 +154,6 @@ def run_pipeline(
         bundle=bundle,
         curve=winner,
         witness=witness,
-        decomposition=dec,
-        ideal=ideal,
-        codim=codim_rep,
-        search=search,
-        equivalence=equivalence,
     )
 
 
@@ -215,20 +177,11 @@ def _emit_bundle(
     out += formats.emit_block(
         "hermitian input", r_text if r_text else formats.format_hermitian_file(r)
     )
-    dec_lines = [f"h = {formats.format_series(dec.h)}"]
-    for (J, f), (_, g) in zip(dec.fs, dec.gs):
-        dec_lines.append(f"family {J}:")
-        dec_lines.append(f"  f = {formats.format_series(f)}")
-        dec_lines.append(f"  g = {formats.format_series(g)}")
-    out += formats.emit_block("decomposition", "\n".join(dec_lines))
+    out += formats.emit_block("decomposition", formats.format_decomposition(dec))
     out += formats.emit_block("ideal", formats.format_ideal(ideal))
     out += formats.emit_block("codimension", str(codim_rep))
     best = search[0] if search else None
-    search_lines = []
-    for curve, ratio in search[:10]:
-        comps = ", ".join(formats.format_series(c, ["t"]) for c in curve.components)
-        search_lines.append(f"ratio {ratio}  curve ({comps})")
-    out += formats.emit_block("search report", "\n".join(search_lines) or "(empty)")
+    out += formats.emit_block("search report", formats.format_search(search, 10) or "(empty)")
     if winner is not None:
         out += formats.emit_block("curve witness", formats.format_curve(winner))
         out += formats.emit_block("witness", str(witness))

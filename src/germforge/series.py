@@ -213,8 +213,7 @@ class TruncSeries:
         while e:
             if e & 1:
                 out = out * base
-            base_needed = e > 1
-            if base_needed:
+            if e > 1:
                 base = base * base
             e >>= 1
         return out

@@ -373,7 +373,6 @@ def monomial_curve_search(
     r: HermitianForm,
     max_exponent: int,
     max_coeff_degree: int,
-    curve_precision: Optional[int] = None,
 ) -> List[Tuple[FormalCurve, TypeRatio]]:
     """Enumerate exponent patterns (gcd 1, entries <= max_exponent), seed each
     with unit coefficients, refine greedily, and rank by the ratio achieved.
@@ -383,7 +382,7 @@ def monomial_curve_search(
     if max_exponent < 1:
         raise GermforgeError(f"max_exponent must be >= 1, got {max_exponent}")
     n = r.nvars
-    prec = curve_precision or r.precision * max_exponent
+    prec = r.precision * max_exponent
     pairs = component_pairs(r)
 
     def score(exps: Tuple[int, ...]):

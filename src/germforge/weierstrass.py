@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, exp, gcd, log, pi
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .coeffs import GaussianRational, ZERO, ONE, as_gauss, gauss_from_complex
+from .coeffs import GaussianRational, ZERO, ONE
 from .errors import (
     DimensionMismatch,
     DiscriminantError,
@@ -29,6 +30,8 @@ from .errors import (
 from .series import FormalCurve, TruncSeries, divide, inverse, pullback
 
 FLOAT_ZERO_EPS = 1e-12
+CLUSTER_TOL = 1e-8  # floating roots closer than this count as one multiple root
+SNAP_MAX_DEN = 10**6  # largest denominator a numeric root is snapped to for exact verification
 FLOAT_BRANCH_TOL = 1e-9  # recorded tolerance of a floating Puiseux branch
 ROOT_SWEEPS = 100  # Aberth-Ehrlich sweeps before the roots are returned as they stand
 ROOT_EPS = 2.0**-53  # unit roundoff: a root is frozen at |p(z)| <= ROOT_EPS * sum |a_k| |z|^k
@@ -82,11 +85,9 @@ class WeierstrassPoly:
         coeffs = [TruncSeries(k, prec, by_w.get(j, {})) for j in range(degree)]
         return cls(k, degree, coeffs)
 
-    def as_series(self, precision: Optional[int] = None) -> TruncSeries:
+    def as_series(self) -> TruncSeries:
         """The polynomial as a (base_vars + 1)-variable series, w last."""
-        prec = self.precision if precision is None else precision
-        if prec > self.precision:
-            raise PrecisionError("coefficients are certified only to their precision")
+        prec = self.precision
         if prec < self.degree:
             raise PrecisionError("precision cannot hold the monic leading term")
         out: Dict[tuple, GaussianRational] = {
@@ -271,21 +272,11 @@ def discriminant(P: WeierstrassPoly) -> TruncSeries:
 
 
 def restrict_to_line(s: TruncSeries, direction: Sequence[int]) -> TruncSeries:
-    """Substitute z_i = v_i * s: a univariate series in the line parameter."""
-    out: Dict[tuple, GaussianRational] = {}
-    for J, c in s.coeffs.items():
-        v = c
-        for vi, e in zip(direction, J):
-            if e:
-                v = v * (as_gauss(vi) ** e)
-        if v:
-            key = (sum(J),)
-            acc = out.get(key, ZERO) + v
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return TruncSeries(1, s.precision, out)
+    """Substitute z_i = v_i * s: a univariate series in the line parameter.
+    The line is stated one order deeper than s, so a precision-0 series keeps
+    its constant term; the pullback is still cut at s.precision."""
+    line = FormalCurve([TruncSeries.monomial(1, s.precision + 1, (1,), v) for v in direction])
+    return pullback(s, line)
 
 
 def _direction_trials(k: int):
@@ -502,17 +493,26 @@ def _numeric_roots(coeffs: List[complex]) -> List[complex]:
     return z + [0j] * low
 
 
-def _cluster(roots: List[complex], tol: float = 1e-8) -> List[Tuple[complex, int]]:
+def _cluster(roots: List[complex]) -> List[Tuple[complex, int]]:
     roots = sorted(roots, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     out: List[Tuple[complex, int]] = []
     for z in roots:
         for i, (z0, m0) in enumerate(out):
-            if abs(z - z0) < tol:
+            if abs(z - z0) < CLUSTER_TOL:
                 out[i] = (z0, m0 + 1)
                 break
         else:
             out.append((z, 1))
     return out
+
+
+def gauss_from_complex(z: complex) -> GaussianRational:
+    """Nearest small-denominator Gaussian rational to a float; used only to
+    *propose* exact values that callers must verify before trusting."""
+    return GaussianRational(
+        Fraction(z.real).limit_denominator(SNAP_MAX_DEN),
+        Fraction(z.imag).limit_denominator(SNAP_MAX_DEN),
+    )
 
 
 def poly_roots_exact_first(
@@ -585,9 +585,9 @@ class PuiseuxBranch:
     def is_exact(self) -> bool:
         return self.mode == "exact"
 
-    def curve(self, direction: Sequence = (1,)) -> FormalCurve:
+    def curve(self, direction: Sequence) -> FormalCurve:
         """(v_1 t^d, .., v_k t^d, w(t)) as an exact FormalCurve: the branch
-        embedded along the base line with direction v (default (t^d, w))."""
+        embedded along the base line with direction v."""
         if not self.is_exact:
             raise ExactnessError("floating branch cannot become an exact curve")
         prec = self.w.precision

@@ -257,6 +257,25 @@ def test_cli_missing_file(workdir, capsys):
     assert code == 1
 
 
+def test_cli_unreadable_input_exit_one(workdir, capsys):
+    """A directory or a non-UTF-8 file as input is an error naming the path,
+    not a traceback."""
+    latin = workdir / "latin1.germ"
+    latin.write_bytes(b"vars 1; N=4;\n+ 1 z1 zbar1; # \xe9\n")
+    for path in (workdir, latin):
+        assert main(["decompose", str(path)]) == 1
+        assert f"error: cannot read {path}: " in capsys.readouterr().err
+
+
+def test_cli_unwritable_certificate_exit_one(workdir, capsys):
+    target = workdir / "no-such-dir" / "cert.txt"
+    code = main(["decompose", "--emit-certificate", str(target), str(workdir / "r.germ")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "h = z3" in captured.out
+    assert f"error: cannot write certificate {target}: " in captured.err
+
+
 def test_cli_decompose_prints_families(workdir, capsys):
     code = main(["decompose", str(workdir / "r.germ")])
     assert code == 0
@@ -289,6 +308,9 @@ def test_cli_codim_rejects_bound_below_one(tmp_path, capsys, bound):
     ["search", "--A", "-1", "r.germ"],
     ["search", "--A", "0", "r.germ"],
     ["search", "--d", "-1", "r.germ"],
+    ["pipeline", "--bound", "-3", "r.germ"],
+    ["lift", "--maxnu", "-1", "r.germ"],
+    ["decompose", "--k", "-1", "r.germ"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_cli_rejects_bound_below_its_least(workdir, capsys, argv):
     code = main([str(workdir / a) if a.endswith(".germ") else a for a in argv])

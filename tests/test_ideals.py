@@ -296,6 +296,23 @@ def test_codimension_certificates_match_the_eager_reference(case):
         assert verify_combination(mono(I.nvars, I.precision, m), I, vc.combination, bound - 1)
 
 
+@given(ideals_with_probes(), st.integers(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_certificate_level_is_the_first_layer_max_power_subset_finds(case, bound):
+    """codimension reads its certificate level from the span's pivots; the
+    monomial-by-monomial scan it used to run is the oracle: the smallest
+    l < B - 1 with M0^l inside I + M0^B, and finite exactly when one exists."""
+    I, _, _ = case
+    bound = min(bound, I.precision)
+    rep = codimension(I, bound)
+    level = bound - 1
+    scanned = next((ell for ell in range(1, level) if max_power_subset(I, ell, level)), None)
+    assert rep.certificate_level == scanned
+    assert (rep.verdict == "finite") == (scanned is not None)
+    if scanned is not None:
+        assert [vc.variable for vc in rep.variable_certificates] == list(range(I.nvars))
+
+
 # ---------------------------------------------------------------------------
 # powers of the maximal ideal
 # ---------------------------------------------------------------------------

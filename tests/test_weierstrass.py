@@ -309,6 +309,30 @@ def test_restrict_unit_discriminant():
     assert L.s_order == 0
 
 
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.integers(0, 6),
+        st.dictionaries(st.tuples(*[st.integers(0, 4)] * n),
+                        st.builds(g, st.integers(-3, 3), st.integers(-3, 3)), max_size=6),
+        st.tuples(*[st.integers(-3, 3)] * n).filter(any),
+    ))
+)
+@settings(max_examples=80, deadline=None)
+def test_restrict_to_line_is_the_direct_substitution(case):
+    """restrict_to_line(s, v) == sum c_J prod v_i^(J_i) s^|J|, summed on
+    plain dicts."""
+    nvars, precision, terms, v = case
+    s = TruncSeries(nvars, precision, terms)
+    direct = {}
+    for J, c in s.coeffs.items():
+        for vi, e in zip(v, J):
+            if e:
+                c = c * g(vi) ** e
+        direct[(sum(J),)] = direct.get((sum(J),), ZERO) + c
+    assert restrict_to_line(s, v) == TruncSeries(1, precision, direct)
+
+
 def test_restrict_rejects_vanishing_discriminant():
     # (w - t)^2 has discriminant 0
     P = WeierstrassPoly(1, 2, [uni(40, {2: ONE}), uni(40, {1: g(-2)})])
