@@ -13,7 +13,7 @@ into exact data.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 from .errors import ExactnessError
@@ -213,6 +213,57 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     out._a = a
     out._b = b
     out._d = d
+    return out
+
+
+def mul_dense(x: list, y: list, n: int) -> list:
+    """The first n coefficients of the product of two dense coefficient lists
+    (index = degree), exactly, by Kronecker substitution (Harvey, arXiv:0712.4046):
+    the numerators over each operand's common denominator are packed into
+    integers with signed s-bit slots, and the slots of their products read back."""
+    xr, xi, dx, mx = _numerators(x)
+    yr, yi, dy, my = _numerators(y)
+    complex_ = any(xi) or any(yi)
+    # |slot| <= min(len) mx my, twice that when a part sums two products
+    s = (min(len(x), len(y)) * mx * my * (2 if complex_ else 1)).bit_length() + 1
+    px, py = _pack(xr, s), _pack(yr, s)
+    re, im = px * py, 0
+    if complex_:  # Gauss's three products
+        p, q = _pack(xi, s), _pack(yi, s)
+        pq = p * q
+        im = (px + p) * (py + q) - re - pq
+        re -= pq
+    return [_reduced(a, b, dx * dy) for a, b in zip(_unpack(re, s, n), _unpack(im, s, n))]
+
+
+def _numerators(x: list) -> tuple:
+    """(real numerators, imaginary numerators, D, largest |numerator|) of x
+    over its common denominator D."""
+    D = lcm(*(c._d for c in x))
+    re = [c._a * (D // c._d) for c in x]
+    im = [c._b * (D // c._d) for c in x]
+    return re, im, D, max(map(abs, re + im))
+
+
+def _pack(u: list, s: int) -> int:
+    """sum_k u[k] 2^(k s)."""
+    out = 0
+    for c in reversed(u):
+        out = (out << s) + c
+    return out
+
+
+def _unpack(p: int, s: int, n: int) -> list:
+    """The first n signed s-bit slots of p = sum_k c_k 2^(k s), |c_k| < 2^(s-1)."""
+    p &= (1 << n * s) - 1  # slot k reads only the bits below (k + 1) s
+    mask, half, full = (1 << s) - 1, 1 << (s - 1), 1 << s
+    out = []
+    for _ in range(n):
+        c = p & mask
+        if c >= half:
+            c -= full  # a negative slot borrowed 1 from the slot above
+        out.append(c)
+        p = (p - c) >> s
     return out
 
 

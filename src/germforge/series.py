@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd, inf
 from typing import Iterable, Optional, Sequence
 
-from .coeffs import GaussianRational, ZERO, ONE, as_gauss
+from .coeffs import GaussianRational, ZERO, ONE, as_gauss, mul_dense
 from .errors import (
     ConstantCurveError,
     DimensionMismatch,
@@ -43,6 +43,15 @@ def degree_key(J: Multidegree):
 
 def _add_exps(J: Multidegree, K: Multidegree) -> Multidegree:
     return tuple(a + b for a, b in zip(J, K))
+
+
+def _dense(coeffs: dict, prec: int) -> list:
+    """Univariate coefficients of degree <= prec, listed by degree."""
+    degs = [e for (e,) in coeffs if e <= prec]
+    out = [ZERO] * (max(degs) + 1) if degs else []
+    for e in degs:
+        out[e] = coeffs[(e,)]
+    return out
 
 
 class TruncSeries:
@@ -186,6 +195,12 @@ class TruncSeries:
             return self.scale(other)
         self._check_compatible(other)
         prec = min(self.precision, other.precision)
+        if self.nvars == 1 and len(self.coeffs) * len(other.coeffs) > prec + 1:
+            # more coefficient pairs than output slots: one integer product
+            x, y = _dense(self.coeffs, prec), _dense(other.coeffs, prec)
+            if x and y:
+                c = mul_dense(x, y, min(prec + 1, len(x) + len(y) - 1))
+                return TruncSeries(1, prec, {(k,): v for k, v in enumerate(c) if v})
         out: dict = {}
         for J, a in self.coeffs.items():
             dJ = sum(J)

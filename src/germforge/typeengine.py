@@ -281,6 +281,8 @@ def _try_kill_lowest(
     if e < curve.vanishing_order() and r.precision * e < m:
         return None
     terms = probe_slice_terms(pairs, base, i, e, m)
+    if not terms:
+        return None  # v(delta) = v0, which is nonzero at degree m
     bent: Dict[Tuple[int, int], GaussianRational] = {}  # v(2) - 2v(1) + v0
     mixed: Dict[Tuple[int, int], GaussianRational] = {}  # v(1+i) - v(1) - v(i) + v0
     for (k, l), coeffs in terms.items():

@@ -426,6 +426,21 @@ def test_package_imports_no_numpy():
             assert not any(n.split(".")[0] == "numpy" for n in names), f"{path.name}:{node.lineno}"
 
 
+def test_only_coeffs_reads_the_coefficient_triple():
+    # the (a, b, d) normal form and the integer kernel's packing rest on it
+    import ast
+
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "germforge").glob("*.py")):
+        if path.name == "coeffs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("_a", "_b", "_d"), where
+            elif isinstance(node, ast.ImportFrom):
+                assert not {a.name for a in node.names} & {"_reduced", "_make"}, where
+
+
 def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
     import argparse
 

@@ -1,6 +1,7 @@
 """Series core: ordering, arithmetic, jets, curves, pullbacks."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +134,76 @@ def test_ring_laws(a, b, c):
 @settings(max_examples=60, deadline=None)
 def test_jet_of_product_matches_product_of_jets(a, b, k):
     assert jet(a * b, k).coeffs == jet(jet(a, k) * jet(b, k), k).coeffs
+
+
+# shared small primes, or large primes coprime to them and to each other
+_DENOMINATORS = st.one_of(
+    st.lists(st.sampled_from([2, 3, 5, 7]), max_size=8).map(prod),
+    st.sampled_from([10**9 + 7, 2**61 - 1, 2**89 - 1, 2**127 - 1]),
+)
+# small, or a digit times 10^k up to 10^400 (a few bytes of entropy each)
+_NUMERATORS = st.one_of(
+    st.integers(-9, 9),
+    st.builds(lambda m, k, r: m * 10**k + r,
+              st.integers(-9, 9), st.integers(0, 399), st.integers(-9, 9)),
+)
+
+
+@st.composite
+def kernel_coeff(draw):
+    """Mostly zero, pure real or pure imaginary; numerators up to 10^400."""
+    kind = draw(st.sampled_from(["zero", "zero", "zero", "real", "real", "imag", "both"]))
+    if kind == "zero":
+        return ZERO
+    den = draw(_DENOMINATORS)
+    re = 0 if kind == "imag" else draw(_NUMERATORS)
+    im = 0 if kind == "real" else draw(_NUMERATORS)
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+@st.composite
+def kernel_series(draw):
+    """Univariate series on both sides of the product's size rule: monomials
+    and sparse series up to precision 200, and dense runs of 10-60 terms
+    (some constant, which makes a product's slots as large as they can be),
+    with terms beyond the precision."""
+    prec = draw(st.integers(0, 200))
+    shape = draw(st.sampled_from(["monomial", "sparse", "dense", "constant"]))
+    if shape == "monomial":
+        exps = [draw(st.integers(0, prec + 3))]
+    elif shape == "sparse":
+        exps = draw(st.lists(st.integers(0, prec + 10), max_size=8, unique=True))
+    else:
+        start = draw(st.integers(0, prec // 2 + 5))
+        exps = range(start, start + draw(st.integers(10, 60)))
+    if shape == "constant":
+        c = draw(kernel_coeff())
+        return uni(prec, {e: c for e in exps})
+    return uni(prec, {e: draw(kernel_coeff()) for e in exps})
+
+
+@st.composite
+def kernel_pairs(draw):
+    a, b = draw(kernel_series()), draw(kernel_series())
+    if draw(st.integers(0, 4)) == 0:
+        # c (t^s + ... + t^(s+L-1)) times d t^j (1 - t): the middle cancels
+        c = draw(kernel_coeff()) or ONE
+        s, L, j = draw(st.integers(0, 20)), draw(st.integers(10, 60)), draw(st.integers(0, 5))
+        a = uni(a.precision, {e: c for e in range(s, s + L)})
+        d = draw(kernel_coeff()) or ONE
+        b = uni(b.precision, {j: d, j + 1: -d})
+    return a, b
+
+
+@given(kernel_pairs())
+@settings(max_examples=100, deadline=None)
+def test_univariate_product_matches_the_convolution_oracle(pair):
+    a, b = pair
+    prod_ab = a * b
+    prec = min(a.precision, b.precision)
+    assert prod_ab.precision == prec
+    expected = {E: c for E, c in oracle_mul(a.coeffs, b.coeffs).items() if E[0] <= prec}
+    assert prod_ab.coeffs == expected
 
 
 # ---------------------------------------------------------------------------

@@ -522,18 +522,28 @@ def test_regular_root_annihilates_through_its_precision(case):
 
 def test_newton_puiseux_series_product_count(monkeypatch):
     # z2^2 - z1^2 - 2 z1^3: two regular tails; precision doubling needs
-    # O(log N) series products per tail, an order-by-order solve O(N)
+    # O(log N) series products per tail, an order-by-order solve O(N); the
+    # dense products go through the integer kernel, not coefficient by
+    # coefficient (a pairwise convolution makes over 5,000 scalar products)
     calls = []
+    scalar_calls = []
     mul = TruncSeries.__mul__
+    scalar_mul = GaussianRational.__mul__
 
     def counted(self, other):
         calls.append(1)
         return mul(self, other)
 
+    def scalar_counted(self, other):
+        scalar_calls.append(1)
+        return scalar_mul(self, other)
+
     monkeypatch.setattr(TruncSeries, "__mul__", counted)
+    monkeypatch.setattr(GaussianRational, "__mul__", scalar_counted)
     bs = newton_puiseux(wpoly(2, {2: -ONE, 3: g(-2)}, {}), 39)
     assert len(bs) == 2 and all(b.is_exact and b.residual_bound == 0.0 for b in bs)
     assert len(calls) <= 100
+    assert len(scalar_calls) <= 1500
 
 
 def test_branch_huge_coefficient_is_an_exactness_error():
