@@ -152,34 +152,6 @@ def _degree_slice(p: HermitianForm, m: int) -> Dict[Tuple[int, int], GaussianRat
     return out
 
 
-def _solve_two_real_unknowns(rows: List[Tuple[Fraction, Fraction, Fraction]]):
-    """Solve rows of x*a + y*b = c over the rationals; None if inconsistent."""
-    pivots: List[Tuple[Fraction, Fraction, Fraction]] = []
-    for a, b, c in rows:
-        for pa, pb, pc in pivots:
-            if pa:
-                f = a / pa
-                a, b, c = Fraction(0), b - f * pb, c - f * pc
-            elif pb and b:
-                f = b / pb
-                b, c = Fraction(0), c - f * pc
-        if a == 0 and b == 0:
-            if c != 0:
-                return None
-            continue
-        pivots.append((a, b, c))
-    x = y = Fraction(0)
-    for pa, pb, pc in reversed(pivots):
-        if pa:
-            x = (pc - pb * y) / pa
-        elif pb:
-            y = pc / pb
-    for a, b, c in rows:
-        if x * a + y * b != c:
-            return None
-    return x, y
-
-
 PairList = List[Tuple[Multidegree, Multidegree, GaussianRational]]
 
 
@@ -205,7 +177,9 @@ def probe_slice_terms(
     P_kl[(a + ek, b + el)] = sum c_JK C(J_i, k) C(K_i, l)
     [t^a] gamma^{J - k e_i} conj([t^b] gamma^{K - l e_i}), a + b = m - e(k + l);
     every image is read from ``base``, whose precision must be at least m.
-    Keys are the ones ``_degree_slice`` reads: (a, b) with a <= b or b = 0."""
+    Keys are the ones ``_degree_slice`` reads: (a, b) with a <= b or b = 0.
+    Entries that cancel to zero, and groups left empty, are dropped, so an
+    empty result means v(delta) = v0."""
     ords = [c.order() for c in base.components]
 
     def lowest(J) -> Optional[int]:
@@ -246,16 +220,51 @@ def probe_slice_terms(
                     if key[0] > key[1] > 0:
                         continue  # conjugate partner of a stored key
                     out[key] = out.get(key, ZERO) + coef * ca * cb.conjugate()
-    return terms
+    return {kl: live for kl, out in terms.items() if (live := {k: v for k, v in out.items() if v})}
 
 
-# i^k conj(i)^l, by (k - l) mod 4
-_TURNS = (ONE, IMAG, -ONE, -IMAG)
+def _solve_affine(terms: Dict, v0: Dict) -> Optional[GaussianRational]:
+    """The nonzero delta with v0 + sum P_kl delta^k conj(delta)^l = 0 on
+    every key, from the terms of :func:`probe_slice_terms`; None when the
+    sum is not affine in delta (some P_kl with k + l >= 2) or no such delta
+    exists.
+
+    With delta = x + iy the affine slice is v0 + x a + y b, a = P_10 + P_01
+    and b = i (P_10 - P_01), and real x, y solve the normal equations in
+    <u, w> = s + conj(s), s = sum u conj(w), twice the real inner product.
+    Their determinant vanishes exactly when a and b are dependent over the
+    reals; then x = <c, a>/<a, a> with y = 0 when a != 0, else y from b."""
+    if any(k + l > 1 for k, l in terms):
+        return None
+    p10, p01 = terms.get((1, 0), {}), terms.get((0, 1), {})
+    keys = list(p10.keys() | p01.keys() | v0.keys())
+    a = [p10.get(k, ZERO) + p01.get(k, ZERO) for k in keys]
+    b = [IMAG * (p10.get(k, ZERO) - p01.get(k, ZERO)) for k in keys]
+    c = [-v0.get(k, ZERO) for k in keys]
+
+    def dot(u, w):
+        s = _inner(u, w)
+        return s + s.conjugate()
+
+    aa, bb, ab, ca, cb = dot(a, a), dot(b, b), dot(a, b), dot(c, a), dot(c, b)
+    det = aa * bb - ab * ab
+    if det:
+        x, y = (ca * bb - cb * ab) / det, (aa * cb - ab * ca) / det
+    elif aa:
+        x, y = ca / aa, ZERO
+    elif bb:
+        x, y = ZERO, cb / bb
+    else:
+        return None
+    if any(x * u + y * w != z for u, w, z in zip(a, b, c)):
+        return None
+    delta = x + IMAG * y
+    return delta if delta else None
 
 
 def _try_kill_lowest(
     r: HermitianForm,
-    curve: FormalCurve,
+    nu: int,
     i: int,
     e: int,
     m: int,
@@ -263,63 +272,24 @@ def _try_kill_lowest(
     base: CurvePowers,
     pairs: PairList,
 ) -> Optional[GaussianRational]:
-    """Probe whether adding delta * t^e to component i can cancel every
-    degree-m coefficient of the pullback; the dependence must test affine in
-    (Re delta, Im delta), solved exactly. Returns delta or None.
+    """Probe whether adding delta * t^e to component i of a curve of order
+    ``nu`` can cancel every degree-m coefficient of the pullback. Returns
+    delta or None.
 
     ``v0`` is the degree-m slice along the curve itself and ``base`` the
     curve's power table at precision m, ``pairs`` r's pairs that involve
     component i (:func:`component_pairs`).  The slice along the perturbed
     curve is v(delta) = v0 + sum P_kl delta^k conj(delta)^l, with the P_kl
-    of :func:`probe_slice_terms` built in one pass from ``base``.  The test
-    reads v at delta = 1, i, 2, 1 + i: both curvatures v(2) - 2v(1) + v0
-    and v(1+i) - v(1) - v(i) + v0 must vanish, and delta solves
-    v0 + x (v(1) - v0) + y (v(i) - v0) = 0; each difference is summed
-    straight from the P_kl with Gaussian-integer weights.  When the
-    perturbation lowers nu(curve) to e and r.precision * e < m, no probe
-    curve's restriction reaches degree m, and the probe fails."""
-    if e < curve.vanishing_order() and r.precision * e < m:
+    of :func:`probe_slice_terms`; delta is solved exactly only when that
+    sum is affine in delta (:func:`_solve_affine`).  When the perturbation
+    lowers nu to e and r.precision * e < m, no probe curve's restriction
+    reaches degree m, and the probe fails."""
+    if e < nu and r.precision * e < m:
         return None
     terms = probe_slice_terms(pairs, base, i, e, m)
     if not terms:
         return None  # v(delta) = v0, which is nonzero at degree m
-    bent: Dict[Tuple[int, int], GaussianRational] = {}  # v(2) - 2v(1) + v0
-    mixed: Dict[Tuple[int, int], GaussianRational] = {}  # v(1+i) - v(1) - v(i) + v0
-    for (k, l), coeffs in terms.items():
-        if k + l < 2:
-            continue  # both weights vanish on the linear terms
-        w_real = 2 ** (k + l) - 2
-        re, im = 1, 0  # (1 + i)^k (1 - i)^l - 1 - i^(k - l)
-        for _ in range(k):
-            re, im = re - im, re + im
-        for _ in range(l):
-            re, im = re + im, im - re
-        turn = _TURNS[(k - l) % 4]
-        w_mixed = GaussianRational(re - 1 - turn.re, im - turn.im)
-        for key, c in coeffs.items():
-            bent[key] = bent.get(key, ZERO) + c * w_real
-            mixed[key] = mixed.get(key, ZERO) + c * w_mixed
-    if any(bent.values()) or any(mixed.values()):
-        return None
-    d1: Dict[Tuple[int, int], GaussianRational] = {}  # v(1) - v0
-    di: Dict[Tuple[int, int], GaussianRational] = {}  # v(i) - v0
-    for (k, l), coeffs in terms.items():
-        turn = _TURNS[(k - l) % 4]
-        for key, c in coeffs.items():
-            d1[key] = d1.get(key, ZERO) + c
-            di[key] = di.get(key, ZERO) + c * turn
-    rows: List[Tuple[Fraction, Fraction, Fraction]] = []
-    for key in set(v0) | set(d1):
-        A = d1.get(key, ZERO)
-        B = di.get(key, ZERO)
-        C = -v0.get(key, ZERO)
-        rows.append((A.re, B.re, C.re))
-        rows.append((A.im, B.im, C.im))
-    sol = _solve_two_real_unknowns(rows)
-    if sol is None:
-        return None
-    delta = GaussianRational(sol[0], sol[1])
-    return delta if delta else None
+    return _solve_affine(terms, v0)
 
 
 def _refine_curve(
@@ -343,13 +313,14 @@ def _refine_curve(
         if m is None:
             return curve, p  # full cancellation within precision
         v0 = _degree_slice(p, m)
+        nu = curve.vanishing_order()
         base = CurvePowers(curve, m)
         applied = False
         for i, a in enumerate(exps):
             if a == 0:
                 continue
             for e in range(a, a + max_coeff_degree + 1):
-                delta = _try_kill_lowest(r, curve, i, e, m, v0, base, pairs[i])
+                delta = _try_kill_lowest(r, nu, i, e, m, v0, base, pairs[i])
                 if delta is None:
                     continue
                 comp = curve.components[i] + TruncSeries.monomial(

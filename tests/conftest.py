@@ -244,6 +244,37 @@ class OracleEagerSpan:
         return residue, {key: -c for key, c in combo.items()}
 
 
+def oracle_two_real_unknowns(rows):
+    """Real x, y with x*a + y*b = c on every row (a, b, c) of Fractions, by
+    row elimination; None if inconsistent.  Of the many solutions of a
+    rank-1 system it returns the one with y = 0 when some a is nonzero,
+    else the one with x = 0."""
+    pivots = []
+    for a, b, c in rows:
+        for pa, pb, pc in pivots:
+            if pa:
+                f = a / pa
+                a, b, c = Fraction(0), b - f * pb, c - f * pc
+            elif pb and b:
+                f = b / pb
+                b, c = Fraction(0), c - f * pc
+        if a == 0 and b == 0:
+            if c != 0:
+                return None
+            continue
+        pivots.append((a, b, c))
+    x = y = Fraction(0)
+    for pa, pb, pc in reversed(pivots):
+        if pa:
+            x = (pc - pb * y) / pa
+        elif pb:
+            y = pc / pb
+    for a, b, c in rows:
+        if x * a + y * b != c:
+            return None
+    return x, y
+
+
 # ---------------------------------------------------------------------------
 # randomized real-valued forms
 # ---------------------------------------------------------------------------

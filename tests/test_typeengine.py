@@ -19,6 +19,7 @@ from germforge.typeengine import (
     GramMismatch,
     UnitaryBlock,
     _degree_slice,
+    _solve_affine,
     _try_kill_lowest,
     build_ideal,
     component_pairs,
@@ -34,6 +35,7 @@ from conftest import (
     g,
     hermitian,
     oracle_curve_pullback,
+    oracle_two_real_unknowns,
     random_real_form,
     small_curves,
     uni,
@@ -320,7 +322,88 @@ def test_probe_through_the_zero_curve_is_read_like_any_other():
     m = r.restrict_to_curve(c).order()
     v0 = _degree_slice(r.restrict_to_curve(c), m)
     assert (m, v0) == (1, {(1, 0): -ONE, (0, 1): -ONE})
-    assert _try_kill_lowest(r, c, 1, 1, m, v0, CurvePowers(c, m), component_pairs(r)[1]) == ONE
+    assert _try_kill_lowest(r, c.vanishing_order(), 1, 1, m, v0, CurvePowers(c, m), component_pairs(r)[1]) == ONE
+
+
+def test_search_builds_one_fraction_per_result(monkeypatch):
+    """The probes solve for delta on Gaussian rationals; the only
+    ``Fraction``s a search builds are the ratios its sort reads."""
+    count = 0
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    results = monomial_curve_search(witness_form(precision=20), 3, 2)
+    assert results[0][1].is_flagged
+    assert count <= len(results)
+
+
+small_vector = st.lists(st.one_of(st.just(ZERO), small_gauss), min_size=1, max_size=3)
+small_real = st.fractions(-3, 3, max_denominator=4)
+
+
+@given(
+    small_vector,
+    small_vector,
+    st.sampled_from(["free", "parallel", "a zero", "zero"]),
+    st.sampled_from(["solvable", "any", "zero"]),
+    small_real,
+    small_real,
+    small_vector,
+)
+@settings(max_examples=80, deadline=None)
+def test_affine_solve_matches_row_elimination(a, b, rank, rhs, x, y, c):
+    """delta from the normal equations on Q(i) values is the row-elimination
+    solution of the real system x a + y b = -v0, rank 0, 1 or 2, consistent
+    or not, with the same choice among the solutions of a rank-1 system."""
+    n = min(len(a), len(b), len(c))
+    a, b, c = a[:n], b[:n], c[:n]
+    if rank == "parallel":
+        b = [u * x for u in a]
+    elif rank == "a zero":
+        a = [ZERO] * n
+    elif rank == "zero":
+        a = b = [ZERO] * n
+    if rhs == "solvable":
+        c = [u * x + w * y for u, w in zip(a, b)]
+    elif rhs == "zero":
+        c = [ZERO] * n
+    keys = [(j, 5) for j in range(n)]
+    half = g(Fraction(1, 2))  # P_10 = (a - ib)/2 and P_01 = (a + ib)/2
+    p10 = {k: v for k, u, w in zip(keys, a, b) if (v := half * (u - IMAG * w))}
+    p01 = {k: v for k, u, w in zip(keys, a, b) if (v := half * (u + IMAG * w))}
+    terms = {kl: p for kl, p in (((1, 0), p10), ((0, 1), p01)) if p}
+    v0 = {k: -z for k, z in zip(keys, c) if z}
+    rows = [row for u, w, z in zip(a, b, c)
+            for row in ((u.re, w.re, z.re), (u.im, w.im, z.im))]
+    sol = oracle_two_real_unknowns(rows)
+    expected = GaussianRational(*sol) if sol else None
+    assert _solve_affine(terms, v0) == (expected or None)
+
+
+def test_a_slice_that_is_not_affine_in_delta_is_rejected():
+    """(delta - conj delta)^2 = -4 (Im delta)^2 is zero at delta = 1 and 2
+    and the same at i and 1 + i, so both curvatures of v sampled at 1, i, 2
+    and 1 + i vanish; the P_kl show that v is not affine, and the probe is
+    rejected although its linear part alone is solved by delta = i."""
+    key = (0, 4)
+    linear = {(1, 0): {key: ONE}}
+    terms = {**linear, (2, 0): {key: ONE}, (0, 2): {key: ONE}, (1, 1): {key: g(-2)}}
+    v0 = {key: -IMAG}
+
+    def v(delta):
+        return v0[key] + sum(
+            (delta**k * delta.conjugate() ** l * P[key] for (k, l), P in terms.items()), ZERO
+        )
+
+    assert v(g(2)) - 2 * v(ONE) + v0[key] == ZERO
+    assert v(ONE + IMAG) - v(ONE) - v(IMAG) + v0[key] == ZERO
+    assert _solve_affine(linear, v0) == IMAG
+    assert _solve_affine(terms, v0) is None
 
 
 # ---------------------------------------------------------------------------
