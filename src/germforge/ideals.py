@@ -11,6 +11,7 @@ the standard Nakayama argument for complete local rings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -26,23 +27,24 @@ from .errors import (
 from .series import Multidegree, TruncSeries, degree_key
 
 
-def monomials_up_to(nvars: int, k: int):
-    """All exponent tuples of total degree <= k."""
-    out = []
-    for d in range(k + 1):
-        out.extend(monomials_of_degree(nvars, d))
-    return out
+@functools.cache
+def monomials_up_to(nvars: int, k: int) -> Tuple[Multidegree, ...]:
+    """All exponent tuples of total degree <= k, graded and lexicographic;
+    built once per (nvars, k)."""
+    return tuple(m for d in range(k + 1) for m in monomials_of_degree(nvars, d))
 
 
-def monomials_of_degree(nvars: int, d: int):
-    """All exponent tuples of total degree exactly d."""
+@functools.cache
+def monomials_of_degree(nvars: int, d: int) -> Tuple[Multidegree, ...]:
+    """All exponent tuples of total degree exactly d, lexicographic; built
+    once per (nvars, d)."""
     if nvars == 1:
-        return [(d,)]
-    out = []
-    for head in range(d + 1):
-        for tail in monomials_of_degree(nvars - 1, d - head):
-            out.append((head,) + tail)
-    return out
+        return ((d,),)
+    return tuple(
+        (head,) + tail
+        for head in range(d + 1)
+        for tail in monomials_of_degree(nvars - 1, d - head)
+    )
 
 
 def count_monomials(nvars: int, max_degree: int) -> int:
@@ -85,10 +87,31 @@ class IdealPresentation:
         self._span: Optional["JetSpan"] = None
 
     def span(self, k: int) -> "JetSpan":
-        """Row-reduced span of { jet_L(m * g) } with combination tracking, at
-        the deepest level L >= k asked for so far.  One span serves every
+        """Row-reduced span of { jet_L(z^m * g) } with combination tracking,
+        at the deepest level L >= k asked for so far.  One span serves every
         level <= L (see :meth:`JetSpan.express`); it is rebuilt only when a
-        deeper level is asked for."""
+        deeper level is asked for.
+
+        Products go in generator by generator, each generator's monomials in
+        the graded order.  The product z^m * g_j is skipped when m is
+        already a pivot as generator j's turn starts: the leading monomial
+        of a row h built from g_1..g_(j-1) (Faugère's F5 criterion).  The
+        span is the same as with every product inserted, at every level
+        <= L.  The kept products of g_1..g_(j-1) span all of theirs
+        (induction on j), so h is jet_L(H) for a combination H of products
+        z^a * g_i with i < j, and
+
+            z^m * g_j = H * g_j - (H - z^m) * g_j   modulo M0^(L+1).
+
+        H * g_j expands into products z^(a+b) * g_i of the earlier
+        generators, each in the span or zero modulo M0^(L+1).  Below degree
+        L+1, H - z^m = h - z^m, and h leads at m with coefficient 1, so
+        (H - z^m) * g_j is a combination of products z^m' * g_j with m'
+        after m in the graded order, each in the span by descending
+        induction on m or zero modulo M0^(L+1).  The pivots are the leading
+        monomials of the span's elements, so they and the dimensions at
+        every level do not depend on the skipped products; the rows, and
+        the combinations read from them, do."""
         if k > self.precision:
             raise PrecisionError(
                 f"membership level {k} exceeds ideal precision {self.precision}"
@@ -99,8 +122,10 @@ class IdealPresentation:
                 o = g.order()
                 if o is None:
                     continue
+                earlier = set(got.rows)
                 for m in monomials_up_to(self.nvars, k - o):
-                    got.insert(_mono_times(g, m, k), {(idx, m): ONE})
+                    if m not in earlier:
+                        got.insert(_mono_times(g, m, k), {(idx, m): ONE})
             self._span = got
         return self._span
 
@@ -137,7 +162,14 @@ class JetSpan:
     row stores its inverse leading coefficient, the combination it was
     inserted with (its origin) and the reduction steps (pivot, factor) that
     made it.  The row is then inv * (origin - sum factor * row(pivot)), and
-    :meth:`express` expands that recursion only for a vector in the span."""
+    :meth:`express` expands that recursion only for a vector in the span.
+
+    Rows depend on the product set, pivots do not: the pivots are the
+    leading monomials of the span's elements.  :meth:`IdealPresentation.span`
+    leaves out the products a syzygy with an earlier generator already puts
+    in the span (its docstring has the proof that this holds modulo
+    M0^(level+1)), so its rows, and the combination :meth:`express` returns,
+    are one valid certificate, not those of inserting every product."""
 
     def __init__(self, nvars: int, level: int):
         self.nvars = nvars

@@ -195,14 +195,23 @@ def oracle_level_dims_monomial(gen_exponents, nvars, bound):
     return dims
 
 
+def oracle_product(gen, m, level):
+    """Coefficient dict of z^m * gen through degree level."""
+    return {tuple(a + b for a, b in zip(J, m)): c for J, c in gen.coeffs.items()
+            if sum(J) + sum(m) <= level}
+
+
 class OracleEagerSpan:
     """Jet-span elimination that expands every row's combination of
     (generator, monomial) products as it goes, in plain dicts: the
     reference for the library's lazily expanded combinations.  Rows are
     inserted in the library's order (generators in turn, monomials graded
-    and lexicographic), so a member gets the same combination."""
+    and lexicographic) from the library's product set: a product z^m * g_j
+    is left out when m is a pivot of this span's own rows as generator j's
+    turn starts.  So a member gets the same combination.  With
+    ``skip=False`` every product goes in: the unskipped reference."""
 
-    def __init__(self, generators, nvars: int, level: int):
+    def __init__(self, generators, nvars: int, level: int, skip: bool = True):
         self.rows = {}
         monos = sorted((m for m in itertools.product(range(level + 1), repeat=nvars)
                         if sum(m) <= level), key=lambda m: (sum(m), m))
@@ -210,9 +219,11 @@ class OracleEagerSpan:
             if not gen.coeffs:
                 continue
             low = min(sum(J) for J in gen.coeffs)
+            earlier = set(self.rows) if skip else set()
             for m in (m for m in monos if sum(m) <= level - low):
-                prod = {tuple(a + b for a, b in zip(J, m)): c for J, c in gen.coeffs.items()
-                        if sum(J) + sum(m) <= level}
+                if m in earlier:
+                    continue
+                prod = oracle_product(gen, m, level)
                 vec, combo, lead = self._reduce(prod, {(idx, m): ONE}, level)
                 if lead is not None:
                     inv = ONE / vec[lead]

@@ -509,6 +509,28 @@ def test_cli_lift_expands_only_the_member_combinations(tmp_path, capsys, monkeyp
     assert calls[0] <= 20_000
 
 
+def test_cli_lift_inserts_no_product_a_syzygy_puts_in_the_span(tmp_path, capsys, monkeypatch):
+    """The associated span of lift --N 40 skips every product whose monomial
+    an earlier generator's row already leads: 12,104 inserts where all
+    products made 20,540, and none of them reduces to zero."""
+    from germforge import ideals
+
+    results = []
+    insert = ideals.JetSpan.insert
+
+    def counted(self, vec, combo):
+        results.append(insert(self, vec, combo))
+        return results[-1]
+
+    monkeypatch.setattr(ideals.JetSpan, "insert", counted)
+    nf = tmp_path / "nf.germ"
+    nf.write_text(LIFT_IDEAL)
+    assert main(["lift", "--N", "40", str(nf)]) == 0
+    assert "vanishes through order" in capsys.readouterr().out
+    assert len(results) <= 12_104
+    assert all(results)
+
+
 LIFT_IDEAL = """vars 3; N=45;
 gen z2^2 - z1^2;
 gen 4*z1^2*z3 - 4*z1^2*z2;

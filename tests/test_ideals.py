@@ -1,7 +1,10 @@
 """Jet-level ideal linear algebra: membership, codimension, radicals."""
 
+import itertools
+from unittest.mock import patch
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from germforge.coeffs import GaussianRational, ONE
 from germforge.errors import ImproperIdealError, PrecisionError
@@ -14,6 +17,7 @@ from germforge.ideals import (
     max_power_subset,
     membership_jet,
     monomials_of_degree,
+    monomials_up_to,
     radical_membership,
     verify_combination,
 )
@@ -23,6 +27,7 @@ from conftest import (
     OracleEagerSpan,
     mono,
     oracle_level_dims_monomial,
+    oracle_product,
     oracle_standard_monomials,
     series,
 )
@@ -294,6 +299,112 @@ def test_codimension_certificates_match_the_eager_reference(case):
         residue, combination = eager.express({m: ONE}, bound - 1)
         assert not residue and vc.combination == combination
         assert verify_combination(mono(I.nvars, I.precision, m), I, vc.combination, bound - 1)
+
+
+def test_monomial_tables_are_graded_lexicographic_and_built_once():
+    table = monomials_up_to(3, 6)
+    assert table == tuple(sorted((m for m in itertools.product(range(7), repeat=3)
+                                  if sum(m) <= 6), key=lambda m: (sum(m), m)))
+    assert monomials_up_to(3, 6) is table
+    assert monomials_of_degree(3, 4) == tuple(m for m in table if sum(m) == 4)
+
+
+def assert_matches_the_unskipped_span(I, probes, span, inserted):
+    """A span built from the products ``inserted`` against the reference
+    that inserts every product: the same pivots and membership verdicts at
+    every level <= span.level, a checkable combination for each member,
+    and every left-out product zero against the full span.  Returns the
+    full span."""
+    level = span.level
+    full = OracleEagerSpan(I.generators, I.nvars, level, skip=False)
+    for k in range(level + 1):
+        assert ({P for P in span.rows if sum(P) <= k}
+                == {P for P in full.rows if sum(P) <= k})
+        for f in probes:
+            vec = dict(f.jet(k).coeffs)
+            residue, combination = span.express(vec, k)
+            assert (not residue) == (not full.express(vec, k)[0])
+            if not residue:
+                assert verify_combination(f, I, combination, k)
+    for idx, gen in enumerate(I.generators):
+        for m in full_products(gen, I.nvars, level):
+            if (idx, m) not in inserted:
+                assert not full.express(oracle_product(gen, m, level), level)[0]
+    return full
+
+
+def full_products(gen, nvars, level):
+    low = gen.order()
+    if low is None:
+        return []
+    return [m for m in itertools.product(range(level + 1), repeat=nvars)
+            if sum(m) <= level - low]
+
+
+def built_span(I, level):
+    """I.span(level), and the (generator, monomial) products it inserted."""
+    inserted = set()
+    insert = JetSpan.insert
+
+    def recording(self, vec, combo):
+        inserted.update(combo)
+        return insert(self, vec, combo)
+
+    with patch.object(JetSpan, "insert", recording):
+        span = I.span(level)
+    return span, inserted
+
+
+def wrong_rule_span(I, level):
+    """The product set of a rule that also skips a monomial when it is a
+    pivot of the current generator's own earlier products."""
+    span = JetSpan(I.nvars, level)
+    inserted = set()
+    for idx, gen in enumerate(I.generators):
+        for m in sorted(full_products(gen, I.nvars, level), key=lambda m: (sum(m), m)):
+            if m not in span.rows:
+                span.insert(oracle_product(gen, m, level), {(idx, m): ONE})
+                inserted.add((idx, m))
+    return span, inserted
+
+
+@given(ideals_with_probes())
+@settings(max_examples=40, deadline=None)
+def test_skipped_products_leave_the_span_unchanged(case):
+    """The syzygy criterion against the unskipped build, at every level up
+    to the deepest one drawn: equal pivots and codimensions, equal
+    membership verdicts, and every product the span left out reduces to
+    zero against the span of all of them."""
+    I, probes, levels = case
+    span, inserted = built_span(I, max(levels))
+    full = assert_matches_the_unskipped_span(I, probes, span, inserted)
+    if span.level >= 1:
+        pivot_degrees = [sum(P) for P in full.rows]
+        assert codimension(I, span.level).dims == [
+            count_monomials(I.nvars, k) - sum(d <= k for d in pivot_degrees)
+            for k in range(span.level)
+        ]
+
+
+def test_the_property_catches_a_wrong_skip_rule():
+    """Skipping also on the current generator's own pivots loses products:
+    for z1 + z2, the product z2 (z1 + z2) is skipped because z2 is the
+    pivot of the generator itself.  The property fails on that ideal, and
+    hypothesis finds a random ideal it fails on."""
+    I = ideal(2, 4, {(1, 0): ONE, (0, 1): ONE})
+    with pytest.raises(AssertionError):
+        assert_matches_the_unskipped_span(I, [], *wrong_rule_span(I, 3))
+
+    def fails(case):
+        I, probes, levels = case
+        try:
+            assert_matches_the_unskipped_span(I, probes, *wrong_rule_span(I, max(levels)))
+        except AssertionError:
+            return True
+        return False
+
+    find(ideals_with_probes(), fails,
+         settings=settings(max_examples=200, database=None, phases=[Phase.generate]))
 
 
 @given(ideals_with_probes(), st.integers(1, 7))
