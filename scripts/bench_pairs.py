@@ -8,7 +8,11 @@ seeds[i % len(seeds)], and odd pairs run the working tree first, so slow
 drift of the host hits both sides alike.  For every metric in the runs'
 final JSON line it prints each side's median and quartiles, the change of
 the medians, and in how many pairs the working tree was better (in the
-direction BENCHMARK.json gives the metric).
+direction BENCHMARK.json gives the metric).  After the table it prints, for
+each end-to-end metric, the ratio of the change's median to the parent's
+and flags every metric that is worse than the parent's by more than its
+BENCHMARK.json ``bound``, and a larger share of failed jobs.  The last line
+is the runs' values as JSON.
 
 Usage:
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload algebra \\
@@ -108,6 +112,20 @@ def main(argv=None) -> int:
         pcol, ccol = f"{pm:.4g} [{p1:.4g}, {p3:.4g}]", f"{cm:.4g} [{c1:.4g}, {c3:.4g}]"
         print(f"{name:34} {pcol:>30} {ccol:>30} {rel:+8.1%} {wins:>4}/{len(p)}")
         summary[name] = {"parent": p, "change": c, "wins": wins}
+    print(f"\n{'end-to-end metric':34} {'change/parent':>13} {'bound':>7}")
+    for row in spec["end_to_end"]:
+        name = row["name"]
+        if name not in summary:
+            continue
+        pm, cm = (statistics.median(summary[name][side]) for side in ("parent", "change"))
+        ratio = cm / pm if pm else (1.0 if cm == pm else float("inf"))
+        worse = ratio - 1 if row["better"] == "lower" else 1 - ratio
+        flag = "WORSE BEYOND BOUND" if worse > row["bound"] else "ok"
+        print(f"{name:34} {ratio:13.3f} {row['bound']:7.2f}  {flag}")
+    failed = {side: sum(r["failed"] for r in runs[side]) / max(1, sum(r["attempted"] for r in runs[side]))
+              for side in runs}
+    flag = "WORSE" if failed["change"] > failed["parent"] else "ok"
+    print(f"{'failed share':34} {failed['parent']:.4g} -> {failed['change']:.4g}  {flag}")
     print(json.dumps(summary))
     return 0
 

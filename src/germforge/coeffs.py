@@ -4,7 +4,8 @@ Every exact computation in the package runs over Q(i).  A value
 (a + b*i)/d is stored as three Python ints in normal form: d > 0 and
 gcd(a, b, d) = 1, so zero is (0, 0, 1) and equal values have equal
 triples.  A field operation builds no ``Fraction`` and takes at most one
-``math.gcd``, none when the result's denominator is 1.  Floating
+``math.gcd``, none when the result's denominator is 1; an operation on
+a univariate ``DenseSeries`` takes one gcd for all its coefficients.  Floating
 binary64 values appear only in the two explicitly quarantined code paths
 (unitary construction, Puiseux fallback) and are never mixed silently
 into exact data.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import Optional, Union
 
 from .errors import ExactnessError
 
@@ -216,33 +217,123 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return out
 
 
-def mul_dense(x: list, y: list, n: int) -> list:
-    """The first n coefficients of the product of two dense coefficient lists
-    (index = degree), exactly, by Kronecker substitution (Harvey, arXiv:0712.4046):
-    the numerators over each operand's common denominator are packed into
-    integers with signed s-bit slots, and the slots of their products read back."""
-    xr, xi, dx, mx = _numerators(x)
-    yr, yi, dy, my = _numerators(y)
+class DenseSeries:
+    """Univariate truncated series over Q(i), dense: coefficient k is
+    (re[k] + im[k] i)/den with integer numerator lists and one denominator
+    den > 0, known through ``precision``.
+
+    A product is one Kronecker big-int product (Harvey, arXiv:0712.4046), a
+    sum is taken over the lcm of the two denominators, and each result is
+    normalized by one multi-argument gcd of den and every numerator, not
+    one gcd per coefficient.  The surface is that of the floating series of
+    the Puiseux fallback, so one Newton iteration serves both."""
+
+    __slots__ = ("re", "im", "den", "precision")
+
+    def __init__(self, re: list, im: list, den: int, precision: int):
+        self.re, self.im, self.den, self.precision = re, im, den, precision
+
+    @classmethod
+    def from_exact(cls, s, precision: Optional[int] = None) -> "DenseSeries":
+        """A univariate exact series s (its ``precision`` and {(e,): value}
+        ``coeffs``), at most at the given precision."""
+        prec = s.precision if precision is None else min(precision, s.precision)
+        terms = [(e, c) for (e,), c in s.coeffs.items() if e <= prec]
+        den = lcm(*(c._d for _, c in terms))
+        re = [0] * (max(e for e, _ in terms) + 1 if terms else 0)
+        im = re[:]
+        for e, c in terms:
+            re[e], im[e] = c._a * (den // c._d), c._b * (den // c._d)
+        return cls(re, im, den, prec)
+
+    @classmethod
+    def constant(cls, nvars: int, precision: int, c) -> "DenseSeries":
+        c = as_gauss(c)
+        return cls([c._a], [c._b], c._d, precision)
+
+    @property
+    def coeffs(self) -> dict:
+        den = self.den
+        return {(k,): _reduced(a, b, den) for k, (a, b) in enumerate(zip(self.re, self.im)) if a or b}
+
+    def coeff(self, e: int) -> GaussianRational:
+        return _reduced(self.re[e], self.im[e], self.den) if e < len(self.re) else ZERO
+
+    def with_precision(self, k: int) -> "DenseSeries":
+        return self.restated(min(k, self.precision))
+
+    def restated(self, k: int) -> "DenseSeries":
+        """The terms of degree <= k at precision k: a higher k reads the unknown tail as 0."""
+        return DenseSeries(self.re[: k + 1], self.im[: k + 1], self.den, k)
+
+    def __sub__(self, other: "DenseSeries") -> "DenseSeries":
+        return self.__add__(other, -1)
+
+    def __add__(self, other: "DenseSeries", sign: int = 1) -> "DenseSeries":
+        prec = min(self.precision, other.precision)
+        n = min(prec + 1, max(len(self.re), len(other.re)))
+        d, f = self.den, other.den
+        den = d // gcd(d, f) * f
+        u, v = den // d, sign * (den // f)
+        xr, xi, yr, yi = (z[:n] + [0] * (n - len(z)) for z in (self.re, self.im, other.re, other.im))
+        re = [u * a + v * b for a, b in zip(xr, yr)]
+        im = [u * a + v * b for a, b in zip(xi, yi)]
+        return _normal(re, im, den, prec)
+
+    def scale(self, c) -> "DenseSeries":
+        c = as_gauss(c)
+        re, im = _times(self.re, self.im, c._a, c._b)
+        return _normal(re, im, self.den * c._d, self.precision)
+
+    def __mul__(self, other: "DenseSeries") -> "DenseSeries":
+        prec = min(self.precision, other.precision)
+        if not self.re or not other.re:
+            return DenseSeries([], [], 1, prec)
+        n = min(prec + 1, len(self.re) + len(other.re) - 1)
+        # only operand slots below n reach the first n slots of the product
+        xr, xi, yr, yi = self.re[:n], self.im[:n], other.re[:n], other.im[:n]
+        if len(xr) > len(yr):
+            xr, xi, yr, yi = yr, yi, xr, xi
+        if len(xr) == 1:  # a constant factor only scales
+            re, im = _times(yr, yi, xr[0], xi[0])
+        else:
+            re, im = _kronecker(xr, xi, yr, yi, n)
+        return _normal(re, im, self.den * other.den, prec)
+
+
+def _times(re: list, im: list, a: int, b: int) -> tuple:
+    """The numerator lists of (re + i im)(a + i b)."""
+    if b:
+        return [x * a - y * b for x, y in zip(re, im)], [x * b + y * a for x, y in zip(re, im)]
+    return [x * a for x in re], [y * a for y in im]
+
+
+def _kronecker(xr: list, xi: list, yr: list, yi: list, n: int) -> tuple:
+    """The first n slots (real, imaginary) of the product of (xr + i xi) and
+    (yr + i yi), by Kronecker substitution (Harvey, arXiv:0712.4046): the
+    slots are packed into integers with signed s-bit slots, and the slots
+    of their products read back."""
     complex_ = any(xi) or any(yi)
+    mx = max(max(xr), -min(xr), max(xi), -min(xi))
+    my = max(max(yr), -min(yr), max(yi), -min(yi))
     # |slot| <= min(len) mx my, twice that when a part sums two products
-    s = (min(len(x), len(y)) * mx * my * (2 if complex_ else 1)).bit_length() + 1
+    s = (min(len(xr), len(yr)) * mx * my * (2 if complex_ else 1)).bit_length() + 1
     px, py = _pack(xr, s), _pack(yr, s)
-    re, im = px * py, 0
-    if complex_:  # Gauss's three products
-        p, q = _pack(xi, s), _pack(yi, s)
-        pq = p * q
-        im = (px + p) * (py + q) - re - pq
-        re -= pq
-    return [_reduced(a, b, dx * dy) for a, b in zip(_unpack(re, s, n), _unpack(im, s, n))]
+    re = px * py
+    if not complex_:
+        return _unpack(re, s, n), [0] * n
+    p, q = _pack(xi, s), _pack(yi, s)  # Gauss's three products
+    pq = p * q
+    return _unpack(re - pq, s, n), _unpack((px + p) * (py + q) - re - pq, s, n)
 
 
-def _numerators(x: list) -> tuple:
-    """(real numerators, imaginary numerators, D, largest |numerator|) of x
-    over its common denominator D."""
-    D = lcm(*(c._d for c in x))
-    re = [c._a * (D // c._d) for c in x]
-    im = [c._b * (D // c._d) for c in x]
-    return re, im, D, max(map(abs, re + im))
+def _normal(re: list, im: list, den: int, precision: int) -> DenseSeries:
+    """The dense series with these numerators over den > 0, with the common
+    factor of den and every numerator divided out."""
+    g = gcd(den, *re, *im) if den != 1 else 1
+    if g != 1:
+        re, im, den = [a // g for a in re], [b // g for b in im], den // g
+    return DenseSeries(re, im, den, precision)
 
 
 def _pack(u: list, s: int) -> int:

@@ -15,6 +15,7 @@ import functools
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeffs import GaussianRational, ZERO, ONE
@@ -123,9 +124,10 @@ class IdealPresentation:
                 if o is None:
                     continue
                 earlier = set(got.rows)
+                terms = _graded_terms(g)
                 for m in monomials_up_to(self.nvars, k - o):
                     if m not in earlier:
-                        got.insert(_mono_times(g, m, k), {(idx, m): ONE})
+                        got.insert(_mono_times(terms, m, k), {(idx, m): ONE})
             self._span = got
         return self._span
 
@@ -137,14 +139,15 @@ class IdealPresentation:
     __repr__ = __str__
 
 
-def _mono_times(g: TruncSeries, m: Multidegree, k: int) -> Dict[Multidegree, GaussianRational]:
-    """Coefficient vector of jet_k(z^m * g)."""
-    out = {}
-    for J, c in g.coeffs.items():
-        E = tuple(a + b for a, b in zip(J, m))
-        if sum(E) <= k:
-            out[E] = c
-    return out
+def _graded_terms(g: TruncSeries) -> list:
+    """The terms of g as (J, |J|, c)."""
+    return [(J, sum(J), c) for J, c in g.coeffs.items()]
+
+
+def _mono_times(terms: list, m: Multidegree, k: int) -> Dict[Multidegree, GaussianRational]:
+    """Coefficient vector of jet_k(z^m * g), from the terms (J, |J|, c) of g."""
+    room = k - sum(m)
+    return {tuple(map(add, J, m)): c for J, dJ, c in terms if dJ <= room}
 
 
 class JetSpan:
@@ -277,7 +280,7 @@ def verify_combination(
     certificates independently checkable."""
     acc = TruncSeries.zero(I.nvars, k)
     for (idx, m), c in combination.items():
-        acc = acc + TruncSeries(I.nvars, k, _mono_times(I.generators[idx], m, k)).scale(c)
+        acc = acc + TruncSeries(I.nvars, k, _mono_times(_graded_terms(I.generators[idx]), m, k)).scale(c)
     return acc.agrees_with(f, k)
 
 

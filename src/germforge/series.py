@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd, inf
 from typing import Iterable, Optional, Sequence
 
-from .coeffs import GaussianRational, ZERO, ONE, as_gauss, mul_dense
+from .coeffs import DenseSeries, GaussianRational, ZERO, ONE, as_gauss
 from .errors import (
     ConstantCurveError,
     DimensionMismatch,
@@ -20,6 +20,7 @@ from .errors import (
 )
 
 Multidegree = tuple  # tuple of non-negative ints, one per variable
+_new = object.__new__
 
 
 def compare(J: Multidegree, K: Multidegree) -> int:
@@ -45,15 +46,6 @@ def _add_exps(J: Multidegree, K: Multidegree) -> Multidegree:
     return tuple(a + b for a, b in zip(J, K))
 
 
-def _dense(coeffs: dict, prec: int) -> list:
-    """Univariate coefficients of degree <= prec, listed by degree."""
-    degs = [e for (e,) in coeffs if e <= prec]
-    out = [ZERO] * (max(degs) + 1) if degs else []
-    for e in degs:
-        out[e] = coeffs[(e,)]
-    return out
-
-
 class TruncSeries:
     """Sparse truncated power series with Gaussian-rational coefficients."""
 
@@ -77,6 +69,15 @@ class TruncSeries:
                 if sum(J) <= precision:
                     clean[tuple(J)] = c
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, precision: int, coeffs: dict) -> "TruncSeries":
+        """A series over a dict that is already clean: nonzero Gaussian
+        rationals keyed by exponent tuples of length nvars and total degree
+        <= precision.  Nothing is checked or copied."""
+        out = _new(cls)
+        out.nvars, out.precision, out.coeffs = nvars, precision, coeffs
+        return out
 
     # -- constructors --------------------------------------------------------
 
@@ -158,21 +159,19 @@ class TruncSeries:
             other = TruncSeries.constant(self.nvars, self.precision, other)
         self._check_compatible(other)
         prec = min(self.precision, other.precision)
-        out = dict(self.coeffs)
-        for J, c in other.coeffs.items():
+        out = dict(self.coeffs) if self.precision == prec else self.jet(prec).coeffs
+        for J, c in (other if other.precision == prec else other.jet(prec)).coeffs.items():
             s = out.get(J, ZERO) + c
             if s:
                 out[J] = s
             else:
                 out.pop(J, None)
-        return TruncSeries(self.nvars, prec, out)
+        return TruncSeries._trusted(self.nvars, prec, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(
-            self.nvars, self.precision, {J: -c for J, c in self.coeffs.items()}
-        )
+        return TruncSeries._trusted(self.nvars, self.precision, {J: -c for J, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, GaussianRational)):
@@ -186,9 +185,7 @@ class TruncSeries:
         c = as_gauss(c)
         if not c:
             return TruncSeries.zero(self.nvars, self.precision)
-        return TruncSeries(
-            self.nvars, self.precision, {J: c * v for J, v in self.coeffs.items()}
-        )
+        return TruncSeries._trusted(self.nvars, self.precision, {J: c * v for J, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, GaussianRational)):
@@ -197,10 +194,8 @@ class TruncSeries:
         prec = min(self.precision, other.precision)
         if self.nvars == 1 and len(self.coeffs) * len(other.coeffs) > prec + 1:
             # more coefficient pairs than output slots: one integer product
-            x, y = _dense(self.coeffs, prec), _dense(other.coeffs, prec)
-            if x and y:
-                c = mul_dense(x, y, min(prec + 1, len(x) + len(y) - 1))
-                return TruncSeries(1, prec, {(k,): v for k, v in enumerate(c) if v})
+            x, y = DenseSeries.from_exact(self, prec), DenseSeries.from_exact(other, prec)
+            return TruncSeries._trusted(1, prec, (x * y).coeffs)
         out: dict = {}
         for J, a in self.coeffs.items():
             dJ = sum(J)
@@ -216,7 +211,7 @@ class TruncSeries:
                     out[E] = s
                 else:
                     out.pop(E, None)
-        return TruncSeries(self.nvars, prec, out)
+        return TruncSeries._trusted(self.nvars, prec, out)
 
     __rmul__ = __mul__
 
@@ -250,9 +245,7 @@ class TruncSeries:
             raise PrecisionError(
                 f"jet order {k} exceeds certified precision {self.precision}"
             )
-        return TruncSeries(
-            self.nvars, k, {J: c for J, c in self.coeffs.items() if sum(J) <= k}
-        )
+        return TruncSeries._trusted(self.nvars, k, {J: c for J, c in self.coeffs.items() if sum(J) <= k})
 
     def with_precision(self, k: int) -> "TruncSeries":
         """Restate at a lower (or equal) precision."""
@@ -269,11 +262,9 @@ class TruncSeries:
             raise DimensionMismatch("shift applies to univariate series")
         if e < 0 and any(J[0] + e < 0 for J in self.coeffs):
             raise ValueError("negative exponent after shift")
-        return TruncSeries(
-            1,
-            self.precision + e,
-            {(J[0] + e,): c for J, c in self.coeffs.items()},
-        )
+        if self.precision + e < 0:
+            raise PrecisionError("precision must be >= 0")
+        return TruncSeries._trusted(1, self.precision + e, {(J[0] + e,): c for J, c in self.coeffs.items()})
 
     def substitute_power(self, m: int) -> "TruncSeries":
         """Univariate substitution t -> t^m; precision scales by m."""
@@ -281,9 +272,7 @@ class TruncSeries:
             raise DimensionMismatch("substitute_power applies to univariate series")
         if m < 1:
             raise ValueError("exponent must be >= 1")
-        return TruncSeries(
-            1, self.precision * m, {(J[0] * m,): c for J, c in self.coeffs.items()}
-        )
+        return TruncSeries._trusted(1, self.precision * m, {(J[0] * m,): c for J, c in self.coeffs.items()})
 
     def __str__(self) -> str:
         from .formats import format_series

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, exp, gcd, log, pi
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .coeffs import GaussianRational, ZERO, ONE
+from .coeffs import DenseSeries, GaussianRational, ZERO, ONE
 from .errors import (
     DimensionMismatch,
     DiscriminantError,
@@ -381,6 +381,10 @@ class FloatSeries:
     def with_precision(self, k: int) -> "FloatSeries":
         return FloatSeries(1, min(k, self.precision), self.coeffs)
 
+    def restated(self, k: int) -> "FloatSeries":
+        """The terms of degree <= k at precision k: a higher k reads the unknown tail as 0."""
+        return FloatSeries(1, k, self.coeffs)
+
     def __add__(self, other: "FloatSeries") -> "FloatSeries":
         out = dict(self.coeffs)
         for J, c in other.coeffs.items():
@@ -612,13 +616,17 @@ def _regular_root(coeffs: List[Ser], N: int) -> Ser:
     for a = 0, 1, 3, 7, .. up to M.  P(w) and P'(w) come from one Horner
     pass.  M is the smallest precision among c_0 and the nonzero c_i,
     capped at N; w is returned at precision N, with no terms of degree 0
-    or above M.  A floating coefficient w_e is dropped when its share
-    c_1(0) w_e of the residual is at most FLOAT_ZERO_EPS."""
-    S = type(coeffs[0])
+    or above M.  Exact input iterates as ``DenseSeries`` (Z[i] numerators
+    over one denominator, each result normalized by one gcd) and becomes a
+    TruncSeries of reduced coefficients only on return; floating input
+    iterates as FloatSeries, and drops w_e when its share c_1(0) w_e of the
+    residual is at most FLOAT_ZERO_EPS."""
+    S = FloatSeries if isinstance(coeffs[0], FloatSeries) else DenseSeries
     M = min([N, coeffs[0].precision] + [c.precision for c in coeffs[1:] if not c.is_zero()])
-    cs = [coeffs[0]] + [S(1, M) if c.is_zero() else c for c in coeffs[1:]]
-    # w and v are our own iterates: restated at precision M, tails read as 0
-    w = S(1, M)
+    cs = [S.from_exact(coeffs[0])] + [
+        S.constant(1, M, 0) if c.is_zero() else S.from_exact(c) for c in coeffs[1:]]
+    # w and v are our own iterates: polynomials, restated at precision M
+    w = S.constant(1, M, 0)
     c1_0 = cs[1].coeff(0)
     v = S.constant(1, M, 1 / c1_0)
     a = 0
@@ -630,12 +638,13 @@ def _regular_root(coeffs: List[Ser], N: int) -> Ser:
             r = r * wp + c
             d = d * wa + r
         r = r * wp + cs[0]
-        v = S(1, M, (v.scale(2) - v * (d * v).with_precision(a)).coeffs)
-        w = S(1, M, (w - v * r).coeffs)
+        # v first: w - v r keeps order p only with v at precision M
+        v = (v.scale(2) - v * (d * v).with_precision(a)).restated(M)
+        w = (w - v * r).restated(M)
         a = p
-    if S is TruncSeries:
-        return S(1, N, w.coeffs)
-    return S(1, N, {J: c for J, c in w.coeffs.items() if J[0] and abs(c1_0 * c) > FLOAT_ZERO_EPS})
+    if S is DenseSeries:
+        return TruncSeries(1, N, w.coeffs)
+    return FloatSeries(1, N, {J: c for J, c in w.coeffs.items() if J[0] and abs(c1_0 * c) > FLOAT_ZERO_EPS})
 
 
 def _lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -771,16 +780,17 @@ def newton_puiseux(
 def _branch_residual(P: WeierstrassPoly, d: int, w: Ser, N: int) -> float:
     """Largest surviving coefficient magnitude of P(t^d, w(t)) through order N
     (0.0 when everything cancels; exact zero for exact branches), evaluated
-    by Horner in P.degree products."""
-    S = type(w)
-    cs = [b.with_precision(N).substitute_power(d).with_precision(N) for b in P.coeffs]
-    if S is FloatSeries:
-        cs = [FloatSeries.from_exact(c) for c in cs]
-    w = w.with_precision(N)
+    by Horner in P.degree products: on ``DenseSeries`` for an exact branch
+    (Z[i] numerators over one denominator, one gcd per product and sum,
+    reduced coefficients read only from a nonzero residual), on FloatSeries
+    for a floating one."""
+    S = FloatSeries if isinstance(w, FloatSeries) else DenseSeries
+    cs = [S.from_exact(b.with_precision(N).substitute_power(d).with_precision(N)) for b in P.coeffs]
+    w = S.from_exact(w.with_precision(N))
     res = S.constant(1, N, 1)
     for c in reversed(cs):
-        res = (res * w).with_precision(N) + c
-    if S is TruncSeries:
+        res = res * w + c
+    if S is DenseSeries:
         return max((float(c.norm2()) for c in res.coeffs.values()), default=0.0) ** 0.5
     return max((abs(c) for c in res.coeffs.values()), default=0.0)
 

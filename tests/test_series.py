@@ -1,12 +1,12 @@
 """Series core: ordering, arithmetic, jets, curves, pullbacks."""
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germforge.coeffs import GaussianRational, ONE, ZERO
+from germforge.coeffs import DenseSeries, GaussianRational, ONE, ZERO
 from germforge.errors import (
     ConstantCurveError,
     DimensionMismatch,
@@ -204,6 +204,57 @@ def test_univariate_product_matches_the_convolution_oracle(pair):
     assert prod_ab.precision == prec
     expected = {E: c for E, c in oracle_mul(a.coeffs, b.coeffs).items() if E[0] <= prec}
     assert prod_ab.coeffs == expected
+
+
+def _dict_sum(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for E, v in b.items():
+        out[E] = out.get(E, ZERO) + sign * v
+    return {E: v for E, v in out.items() if v}
+
+
+def _low(d: dict, k: int) -> dict:
+    return {E: v for E, v in d.items() if E[0] <= k}
+
+
+@given(kernel_pairs(), kernel_coeff(), st.integers(0, 210))
+@settings(max_examples=100, deadline=None)
+def test_dense_kernel_matches_the_dict_oracles(pair, c, k):
+    # numerator lists over one denominator: zero, empty, complex and
+    # unequal-length operands, denominators sharing small primes
+    a, b = pair
+    x, y = DenseSeries.from_exact(a), DenseSeries.from_exact(b)
+    assert x.coeffs == a.coeffs and x.precision == a.precision
+    prec = min(a.precision, b.precision)
+    got = {
+        "mul": (x * y, _low(oracle_mul(a.coeffs, b.coeffs), prec)),
+        "add": (x + y, _low(_dict_sum(a.coeffs, b.coeffs, 1), prec)),
+        "sub": (x - y, _low(_dict_sum(a.coeffs, b.coeffs, -1), prec)),
+        "scale": (x.scale(c), {E: c * v for E, v in a.coeffs.items() if c}),
+    }
+    for op, (out, expected) in got.items():
+        assert out.precision == (a.precision if op == "scale" else prec), op
+        assert out.coeffs == expected, op
+        assert gcd(out.den, *out.re, *out.im) == 1, op  # one gcd normalizes
+    cut = x.with_precision(k)
+    assert cut.precision == min(k, a.precision) and cut.coeffs == _low(a.coeffs, k)
+    assert [x.coeff(e) for e in range(a.precision + 1)] == [
+        a.coeffs.get((e,), ZERO) for e in range(a.precision + 1)]
+
+
+@given(small_series(precision=5), small_series(precision=3), kernel_pairs(), kernel_coeff(),
+       st.integers(0, 3), st.integers(0, 4), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_trusted_results_revalidate_unchanged(a, b, pair, c, k, e, m):
+    # results built without validation are what the validating constructor keeps
+    u, v = pair
+    outs = [a + b, b + a, a - b, b - a, -a, a * b, b * a, a.scale(c), a.jet(k),
+            u + v, v - u, u * v, -u, u.scale(c), u.jet(min(k, u.precision)),
+            u.shift(e), u.substitute_power(m)]
+    if u:
+        outs.append(u.shift(-u.order()))
+    for out in outs:
+        assert TruncSeries(out.nvars, out.precision, out.coeffs).coeffs == out.coeffs
 
 
 # ---------------------------------------------------------------------------

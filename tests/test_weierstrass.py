@@ -18,6 +18,7 @@ from germforge.errors import (
 )
 from germforge.series import FormalCurve, TruncSeries, pullback
 from germforge.weierstrass import (
+    FloatSeries,
     NormalForm,
     WeierstrassPoly,
     _numeric_roots,
@@ -518,6 +519,42 @@ def test_regular_root_annihilates_through_its_precision(case):
         for (e,), v in oracle_mul(c.coeffs, oracle_pow(w.coeffs, i, 1)).items():
             total[e] = total.get(e, ZERO) + v
     assert all(not v for e, v in total.items() if e <= M)
+
+
+@given(regular_poly(), st.builds(
+    GaussianRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+))
+@settings(max_examples=40, deadline=None)
+def test_regular_root_matches_the_order_by_order_solution(case, u):
+    # with c_1(0) = u, the t^e coefficient of P(w) is u w_e plus terms in
+    # w_1..w_(e-1): solve it order by order in plain dict convolutions
+    coeffs, N = case
+    c1 = coeffs[1]
+    coeffs[1] = TruncSeries(1, c1.precision, {**c1.coeffs, (0,): u})
+    M = min([N, coeffs[0].precision] + [c.precision for c in coeffs[1:] if c])
+    w = {}
+    for e in range(1, M + 1):
+        total = ZERO
+        for i, c in enumerate(coeffs):
+            total = total + oracle_mul(c.coeffs, oracle_pow(w, i, 1)).get((e,), ZERO)
+        if total:
+            w[(e,)] = -total / u
+    root = _regular_root(coeffs, N)
+    assert root.precision == N and root.coeffs == w
+
+
+def test_regular_root_keeps_every_order_through_its_precision():
+    # w = t + w^2: w_n is the Catalan number C_(n-1), nonzero at every order;
+    # both the exact and the floating iteration keep all 40
+    coeffs = [uni(45, {1: -ONE}), uni(45, {0: ONE}), uni(45, {0: -ONE})]
+    catalan = {(n,): comb(2 * n - 2, n - 1) // n for n in range(1, 41)}
+    exact = _regular_root(coeffs, 40)
+    assert exact.coeffs == catalan
+    floating = _regular_root([FloatSeries.from_exact(c) for c in coeffs], 40)
+    assert set(floating.coeffs) == set(catalan)
+    assert all(abs(floating.coeffs[J] - v) <= 1e-12 * v for J, v in catalan.items())
 
 
 def test_newton_puiseux_series_product_count(monkeypatch):
