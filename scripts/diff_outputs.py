@@ -7,7 +7,11 @@ once.  Then each tree (the parent, exported with ``git archive``, and the
 working tree) runs every job in one subprocess of its own that calls
 ``germforge.cli.main`` in process, as the benchmark does.  Exit code, stdout
 and stderr are compared byte for byte; every job that differs is printed,
-and the exit status is 1 if any does.
+then each side's five slowest jobs with the wall times of both sides, and
+the exit status is 1 if any job differs.
+
+A side whose subprocess runs longer than WORKER_TIMEOUT_S is stopped; the
+script then names the side and the job that was running, and exits 1.
 
 Usage:
     python3 scripts/diff_outputs.py --parent HEAD~1 --workload pipeline-witness \\
@@ -30,31 +34,47 @@ from bench_pairs import ROOT, export_ref  # noqa: E402
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import generate, write_inputs  # noqa: E402
 
+# Wall-time limit of one side's worker: the ten-seed, 40-round algebra diff
+# takes about 25 s a side on a 2-vCPU host, the four-seed pipeline diffs less.
+WORKER_TIMEOUT_S = 900
+
 # Reads a JSON list of argv lists on stdin, runs each through cli.main and
-# writes a JSON list of [exit code, stdout, stderr]; an exception escaping
-# main is recorded in place of the exit code.
+# writes a JSON list of [exit code, stdout, stderr, wall seconds]; an
+# exception escaping main is recorded in place of the exit code.  The index
+# of each job goes to stderr before the job starts, so a stopped worker
+# names the job it was running.
 WORKER = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, time
 sys.path.insert(0, sys.argv[1])
 from germforge import cli
 results = []
-for argv in json.load(sys.stdin):
+for index, argv in enumerate(json.load(sys.stdin)):
+    print(index, file=sys.stderr, flush=True)
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     except BaseException as exc:
         code = f"{type(exc).__name__}: {exc}"
-    results.append([code, out.getvalue(), err.getvalue()])
+    results.append([code, out.getvalue(), err.getvalue(), time.perf_counter() - start])
 json.dump(results, sys.stdout)
 """
 
 
-def run_tree(tree: Path, argvs: list) -> list:
-    proc = subprocess.run(
-        [sys.executable, "-c", WORKER, str(tree / "src")],
-        input=json.dumps(argvs), cwd=tree, capture_output=True, text=True,
-    )
+def run_tree(side: str, tree: Path, argvs: list, jobs: list) -> list:
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", WORKER, str(tree / "src")],
+            input=json.dumps(argvs), cwd=tree, capture_output=True, text=True,
+            timeout=WORKER_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired as exc:
+        err = exc.stderr or b""
+        started = (err.decode() if isinstance(err, bytes) else err).split()
+        running = jobs[int(started[-1])] if started else "none started"
+        raise SystemExit(f"{side}: worker stopped after {WORKER_TIMEOUT_S} s; "
+                         f"running job: {running}")
     if proc.returncode != 0:
         raise SystemExit(f"worker failed in {tree} (exit {proc.returncode}):\n{proc.stderr}")
     return json.loads(proc.stdout)
@@ -79,7 +99,8 @@ def main(argv=None) -> int:
             for job in (j for jobs_of_round in rounds for j in jobs_of_round):
                 jobs.append(f"seed {seed} {job.describe()}")
                 argvs.append([str(directory / a) if a in job.files else a for a in job.argv])
-        got = {side: run_tree(tree, argvs) for side, tree in (("parent", parent), ("change", ROOT))}
+        got = {side: run_tree(side, tree, argvs, jobs)
+               for side, tree in (("parent", parent), ("change", ROOT))}
     finally:
         shutil.rmtree(parent, ignore_errors=True)
         shutil.rmtree(inputs, ignore_errors=True)
@@ -93,6 +114,11 @@ def main(argv=None) -> int:
             print(f"DIFFERS ({', '.join(diff)}): {name}")
     print(f"{args.workload}: {len(jobs)} jobs, seeds {args.seeds}, rounds 0-{args.rounds - 1}, "
           f"parent {args.parent}: {differ} differ")
+    times = {side: [r[3] for r in results] for side, results in got.items()}
+    for side, other in (("parent", "change"), ("change", "parent")):
+        print(f"{side}: five slowest jobs ({other} time in brackets)")
+        for i in sorted(range(len(jobs)), key=times[side].__getitem__, reverse=True)[:5]:
+            print(f"  {times[side][i]:8.3f} s  ({times[other][i]:.3f} s)  {jobs[i]}")
     return 1 if differ else 0
 
 

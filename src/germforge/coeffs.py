@@ -4,11 +4,13 @@ Every exact computation in the package runs over Q(i).  A value
 (a + b*i)/d is stored as three Python ints in normal form: d > 0 and
 gcd(a, b, d) = 1, so zero is (0, 0, 1) and equal values have equal
 triples.  A field operation builds no ``Fraction`` and takes at most one
-``math.gcd``, none when the result's denominator is 1; an operation on
-a univariate ``DenseSeries`` takes one gcd for all its coefficients.  Floating
-binary64 values appear only in the two explicitly quarantined code paths
-(unitary construction, Puiseux fallback) and are never mixed silently
-into exact data.
+``math.gcd``, none when the result's denominator is 1; printing takes one
+gcd per part.  A univariate ``DenseSeries`` keeps integer numerators over
+one denominator, and an operation on it takes one gcd for all its
+coefficients: exact Newton-Puiseux runs on it from entry to exit.
+Floating binary64 values appear only in the two explicitly quarantined
+code paths (unitary construction, Puiseux fallback) and are never mixed
+silently into exact data.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
-from .errors import ExactnessError
+from .errors import ExactnessError, PrecisionError
 
 RatLike = Union[int, Fraction]
 
@@ -168,17 +170,30 @@ class GaussianRational:
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        ims = f"{im}i" if abs(im) != 1 else ("i" if im > 0 else "-i")
-        if re == 0:
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _part(a, d)
+        ims = "i" if b == d else "-i" if b == -d else f"{_part(b, d)}i"
+        if not a:
             return ims
-        sep = "+" if im > 0 else ""
-        return f"{re}{sep}{ims}"
+        return f"{_part(a, d)}{'+' if b > 0 else ''}{ims}"
+
+    def literal(self) -> str:
+        """``str``, parenthesized when both parts are nonzero, as a factor."""
+        return f"({self})" if self._a and self._b else str(self)
+
+    def is_negative_lead(self) -> bool:
+        """The leading nonzero part (real, else imaginary) is negative."""
+        return self._a < 0 or (not self._a and self._b < 0)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _part(n: int, d: int) -> str:
+    """n/d as ``str(Fraction(n, d))`` prints it, for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _ratio(x) -> tuple:
@@ -220,13 +235,17 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 class DenseSeries:
     """Univariate truncated series over Q(i), dense: coefficient k is
     (re[k] + im[k] i)/den with integer numerator lists and one denominator
-    den > 0, known through ``precision``.
+    den > 0, known through ``precision``; the lists hold at most
+    precision + 1 slots, and a missing slot is 0.
 
     A product is one Kronecker big-int product (Harvey, arXiv:0712.4046), a
     sum is taken over the lcm of the two denominators, and each result is
     normalized by one multi-argument gcd of den and every numerator, not
-    one gcd per coefficient.  The surface is that of the floating series of
-    the Puiseux fallback, so one Newton iteration serves both."""
+    one gcd per coefficient.  Shifts and substitutions t -> t^m move slots
+    and keep the denominator.  Newton-Puiseux converts a polynomial's
+    coefficients to this form once and each exact branch back to a
+    ``TruncSeries`` once; the floating series of the Puiseux fallback has
+    the same surface, so one recursion and one Newton iteration serve both."""
 
     __slots__ = ("re", "im", "den", "precision")
 
@@ -247,7 +266,7 @@ class DenseSeries:
         return cls(re, im, den, prec)
 
     @classmethod
-    def constant(cls, nvars: int, precision: int, c) -> "DenseSeries":
+    def constant(cls, precision: int, c) -> "DenseSeries":
         c = as_gauss(c)
         return cls([c._a], [c._b], c._d, precision)
 
@@ -258,6 +277,15 @@ class DenseSeries:
 
     def coeff(self, e: int) -> GaussianRational:
         return _reduced(self.re[e], self.im[e], self.den) if e < len(self.re) else ZERO
+
+    def is_zero(self) -> bool:
+        """Zero through the precision (the tail stays unknown)."""
+        return not (any(self.re) or any(self.im))
+
+    def order(self) -> Optional[int]:
+        """The smallest degree with a nonzero coefficient, or None when the
+        series vanishes through its precision."""
+        return next((k for k, (a, b) in enumerate(zip(self.re, self.im)) if a or b), None)
 
     def with_precision(self, k: int) -> "DenseSeries":
         return self.restated(min(k, self.precision))
@@ -284,6 +312,25 @@ class DenseSeries:
         c = as_gauss(c)
         re, im = _times(self.re, self.im, c._a, c._b)
         return _normal(re, im, self.den * c._d, self.precision)
+
+    def shift(self, e: int) -> "DenseSeries":
+        """Multiply by t^e; a negative e divides, and must drop no nonzero slot."""
+        if e >= 0:
+            return DenseSeries([0] * e + self.re, [0] * e + self.im, self.den, self.precision + e)
+        if any(self.re[:-e]) or any(self.im[:-e]):
+            raise ValueError("negative exponent after shift")
+        if self.precision + e < 0:
+            raise PrecisionError("precision must be >= 0")
+        return DenseSeries(self.re[-e:], self.im[-e:], self.den, self.precision + e)
+
+    def substitute_power(self, m: int) -> "DenseSeries":
+        """The substitution t -> t^m; precision scales by m."""
+        if m < 1:
+            raise ValueError("exponent must be >= 1")
+        n = (len(self.re) - 1) * m + 1 if self.re else 0
+        re, im = [0] * n, [0] * n
+        re[::m], im[::m] = self.re, self.im
+        return DenseSeries(re, im, self.den, self.precision * m)
 
     def __mul__(self, other: "DenseSeries") -> "DenseSeries":
         prec = min(self.precision, other.precision)

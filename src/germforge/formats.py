@@ -41,30 +41,20 @@ from .series import FormalCurve, TruncSeries, degree_key
 # ---------------------------------------------------------------------------
 
 
-def _coeff_literal(c: GaussianRational) -> str:
-    if c.re != 0 and c.im != 0:
-        return f"({c})"
-    return str(c)
-
-
-def _is_negative_lead(c: GaussianRational) -> bool:
-    return c.re < 0 or (c.re == 0 and c.im < 0)
-
-
 def _render_terms(terms: List[Tuple[GaussianRational, str]]) -> str:
     """terms: (coefficient, factor-string or '')"""
     if not terms:
         return "0"
     parts: List[str] = []
     for idx, (c, fac) in enumerate(terms):
-        neg = _is_negative_lead(c)
+        neg = c.is_negative_lead()
         mag = -c if neg else c
         if fac and mag == ONE:
             body = fac
         elif fac:
-            body = f"{_coeff_literal(mag)}*{fac}"
+            body = f"{mag.literal()}*{fac}"
         else:
-            body = _coeff_literal(mag)
+            body = mag.literal()
         if idx == 0:
             parts.append(f"-{body}" if neg else body)
         else:
@@ -367,36 +357,22 @@ def _parse_rational(P: _Parser) -> Fraction:
 
 def _parse_signed_rational(P: _Parser) -> Tuple[Fraction, bool]:
     """Returns (value, saw_i): one summand of a complex literal."""
-    sign = 1
-    if P.accept("-"):
-        sign = -1
-    elif P.accept("+"):
-        pass
-    if P.peek().kind == "IDENT" and P.peek().value == "i":
-        P.next()
+    sign = -1 if P.accept("-") else 1
+    if sign == 1:
+        P.accept("+")
+    if P.accept("IDENT", "i"):
         return Fraction(sign), True
     val = _parse_rational(P)
-    if P.peek().kind == "IDENT" and P.peek().value == "i":
-        P.next()
-        return sign * val, True
-    return sign * val, False
+    return sign * val, bool(P.accept("IDENT", "i"))
 
 
 def _parse_complex_body(P: _Parser) -> GaussianRational:
-    re = Fraction(0)
-    im = Fraction(0)
-    val, is_im = _parse_signed_rational(P)
-    if is_im:
-        im += val
-    else:
-        re += val
-    while P.peek().kind in ("+", "-"):
+    parts = [Fraction(0), Fraction(0)]  # real, imaginary
+    while True:
         val, is_im = _parse_signed_rational(P)
-        if is_im:
-            im += val
-        else:
-            re += val
-    return GaussianRational(re, im)
+        parts[is_im] += val
+        if P.peek().kind not in ("+", "-"):
+            return GaussianRational(*parts)
 
 
 def _try_parse_coefficient(P: _Parser) -> Optional[GaussianRational]:
@@ -408,14 +384,8 @@ def _try_parse_coefficient(P: _Parser) -> Optional[GaussianRational]:
         return c
     if t.kind == "NUM":
         val = _parse_rational(P)
-        if P.peek().kind == "IDENT" and P.peek().value == "i":
-            P.next()
-            return GaussianRational(0, val)
-        return GaussianRational(val)
-    if t.kind == "IDENT" and t.value == "i":
-        P.next()
-        return GaussianRational(0, 1)
-    return None
+        return GaussianRational(0, val) if P.accept("IDENT", "i") else GaussianRational(val)
+    return GaussianRational(0, 1) if P.accept("IDENT", "i") else None
 
 
 def _is_variable_ident(name: str) -> bool:
@@ -508,8 +478,7 @@ def _parse_header(P: _Parser) -> Tuple[int, int, Optional[List[GaussianRational]
         P.error("precision must be >= 1")
     P.expect(";")
     base = None
-    if P.peek().kind == "IDENT" and P.peek().value == "base":
-        P.next()
+    if P.accept("IDENT", "base"):
         base = []
         for _ in range(nvars):
             sign = -1 if P.accept("-") else 1

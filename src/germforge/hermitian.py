@@ -24,15 +24,17 @@ from .series import (
 )
 
 PairKey = Tuple[Multidegree, Multidegree]
+_new = object.__new__
 
 
 class HermitianForm:
     """Coefficient map (J, K) -> a_JK with the reality symmetry
     a(K, J) == conj(a(J, K)).
 
-    Canonical storage keeps one representative per conjugate pair: keys
-    with J <= K in the fixed multidegree order, plus the pure-holomorphic
-    keys (J, 0) whose partners (0, J) are implied.
+    Canonical storage keeps the keys with J <= K in the fixed multidegree
+    order, plus the pure-holomorphic keys (J, 0).  So one representative
+    of each conjugate pair is stored, except for a pure pair, whose (J, 0)
+    and (0, J) are both kept.
     """
 
     __slots__ = ("nvars", "precision", "coeffs")
@@ -73,6 +75,15 @@ class HermitianForm:
             if K == zero_deg or compare(J, K) <= 0:
                 store[(J, K)] = c
         self.coeffs = store
+
+    @classmethod
+    def _trusted(cls, nvars: int, precision: int, coeffs: dict) -> "HermitianForm":
+        """A form over a stored half that is already canonical: nonzero
+        Gaussian rationals at the keys the constructor keeps, of total degree
+        <= precision, whose full map is real.  Nothing is checked or copied."""
+        out = _new(cls)
+        out.nvars, out.precision, out.coeffs = nvars, precision, coeffs
+        return out
 
     # -- access ------------------------------------------------------------
 
@@ -193,7 +204,9 @@ class HermitianForm:
                         out[key] = v
                     else:
                         out.pop(key, None)
-        return HermitianForm(1, prec, out)
+        # the full restriction of a real form is real: keep its stored half
+        return HermitianForm._trusted(1, prec, {
+            key: v for key, v in out.items() if key[0] <= key[1] or key[1] == (0,)})
 
     def __str__(self) -> str:
         from .formats import format_hermitian
@@ -237,7 +250,7 @@ def decompose(r: HermitianForm, k: int) -> Decomposition:
     h_coeffs: Dict[Multidegree, GaussianRational] = {}
     fam: Dict[Multidegree, Dict[Multidegree, GaussianRational]] = {}
 
-    for J, K, c in r.full_items():
+    for (J, K), c in r.coeffs.items():  # the stored half: J <= K, or K = 0
         if sum(J) + sum(K) > k:
             continue
         if K == zero_deg:
@@ -245,10 +258,7 @@ def decompose(r: HermitianForm, k: int) -> Decomposition:
             continue
         if J == zero_deg:
             continue  # conjugate partner of a (K, 0) term already in h
-        rel = compare(J, K)
-        if rel > 0:
-            continue  # conjugate partner of the (K, J) entry
-        if rel == 0:
+        if J == K:
             if not c.is_real():
                 raise RealityError(f"diagonal coefficient at {J} is not real")
             fam.setdefault(J, {})[K] = c / as_gauss(4)

@@ -9,7 +9,8 @@ have contributed to it.
 
 from __future__ import annotations
 
-from math import gcd, inf
+from itertools import product
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .coeffs import DenseSeries, GaussianRational, ZERO, ONE, as_gauss
@@ -255,17 +256,6 @@ class TruncSeries:
 
     # -- univariate helpers ----------------------------------------------------------
 
-    def shift(self, e: int) -> "TruncSeries":
-        """Multiply a univariate series by t^e (e < 0 divides, and must leave
-        no negative exponent)."""
-        if self.nvars != 1:
-            raise DimensionMismatch("shift applies to univariate series")
-        if e < 0 and any(J[0] + e < 0 for J in self.coeffs):
-            raise ValueError("negative exponent after shift")
-        if self.precision + e < 0:
-            raise PrecisionError("precision must be >= 0")
-        return TruncSeries._trusted(1, self.precision + e, {(J[0] + e,): c for J, c in self.coeffs.items()})
-
     def substitute_power(self, m: int) -> "TruncSeries":
         """Univariate substitution t -> t^m; precision scales by m."""
         if self.nvars != 1:
@@ -382,12 +372,7 @@ class FormalCurve:
     def vanishing_order(self) -> Optional[int]:
         """min over components of the vanishing order; None when every
         component is zero through the precision (order >= precision + 1)."""
-        best = inf
-        for c in self.components:
-            o = c.order()
-            if o is not None and o < best:
-                best = o
-        return None if best is inf else int(best)
+        return min((o for o in (c.order() for c in self.components) if o is not None), default=None)
 
     def is_constant(self) -> bool:
         return self.vanishing_order() is None
@@ -526,29 +511,6 @@ def reparametrize(curve: FormalCurve, m: int) -> FormalCurve:
 
 def exponent_tuples(nvars: int, max_exponent: int) -> Iterable[tuple]:
     """Monomial-curve exponent patterns: entries in 0..max_exponent, not all
-    zero, with gcd of the nonzero entries equal to 1."""
-
-    def keep(t):
-        nz = [a for a in t if a]
-        if not nz:
-            return False
-        g = 0
-        for a in nz:
-            g = gcd(g, a)
-        return g == 1
-
-    def gen():
-        idx = [0] * nvars
-        while True:
-            t = tuple(idx)
-            if keep(t):
-                yield t
-            i = nvars - 1
-            while i >= 0 and idx[i] == max_exponent:
-                idx[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            idx[i] += 1
-
-    return gen()
+    zero, with gcd of the nonzero entries equal to 1, the last entry
+    running fastest."""
+    return (t for t in product(range(max_exponent + 1), repeat=nvars) if gcd(*t) == 1)

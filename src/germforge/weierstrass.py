@@ -249,18 +249,10 @@ def discriminant(P: WeierstrassPoly) -> TruncSeries:
     dc: List[TruncSeries] = [one.scale(ell)] + [
         P.coeffs[j].scale(j) for j in range(ell - 1, 0, -1)
     ]
+    # the Sylvester matrix: ell - 1 shifted rows of pc, then ell of dc
     size = 2 * ell - 1
-    rows: List[List[Optional[TruncSeries]]] = []
-    for i in range(ell - 1):
-        row: List[Optional[TruncSeries]] = [None] * size
-        for j, c in enumerate(pc):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(ell):
-        row = [None] * size
-        for j, c in enumerate(dc):
-            row[i + j] = c
-        rows.append(row)
+    rows = [[None] * i + cs + [None] * (size - i - len(cs))
+            for cs, count in ((pc, ell - 1), (dc, ell)) for i in range(count)]
     res = _det_subset(rows, k, prec)
     sign = -1 if (ell * (ell - 1) // 2) % 2 else 1
     return res.scale(sign)
@@ -343,84 +335,85 @@ def generic_restrict(P: WeierstrassPoly) -> LineRestriction:
 
 
 class FloatSeries:
-    """Univariate truncated series with complex binary64 coefficients, keyed
-    by 1-tuples like a univariate TruncSeries; used only when a Puiseux
-    branch leaves the exact field.  A coefficient of modulus at most
-    FLOAT_ZERO_EPS counts as zero for is_zero, order and a negative shift,
-    which drops it."""
+    """Univariate truncated series with complex binary64 coefficients, used
+    only when a Puiseux branch leaves the exact field: ``vals[k]`` is the
+    coefficient of t^k, known through ``precision``.  It has the surface of
+    ``coeffs.DenseSeries``, so one recursion and one Newton iteration serve
+    both modes.  A coefficient of modulus at most FLOAT_ZERO_EPS counts as
+    zero for is_zero, order and a negative shift, which drops it.  An exact
+    zero is stored as 0j and takes part in no sum or product, as a missing
+    term would not."""
 
-    __slots__ = ("precision", "coeffs")
+    __slots__ = ("vals", "precision")
 
-    def __init__(self, nvars: int, precision: int, coeffs=None):
-        if nvars != 1:
-            raise DimensionMismatch("floating series are univariate")
-        self.precision = precision
-        self.coeffs = {
-            J: complex(c) for J, c in (coeffs or {}).items() if 0 <= J[0] <= precision and c != 0
-        }
+    def __init__(self, vals: List[complex], precision: int):
+        self.vals, self.precision = vals, precision
 
     @classmethod
-    def from_exact(cls, s: "Ser") -> "FloatSeries":
-        """s, exact or floating, with its coefficients as complex floats."""
-        return cls(1, s.precision, s.coeffs)
+    def from_exact(cls, s: DenseSeries) -> "FloatSeries":
+        """s with its coefficients as complex floats."""
+        return cls([complex(s.coeff(k)) for k in range(len(s.re))], s.precision)
 
     @classmethod
-    def constant(cls, nvars: int, precision: int, c) -> "FloatSeries":
-        return cls(nvars, precision, {(0,): c})
+    def constant(cls, precision: int, c) -> "FloatSeries":
+        return cls([complex(c)], precision)
 
     def is_zero(self) -> bool:
-        return all(abs(c) <= FLOAT_ZERO_EPS for c in self.coeffs.values())
+        return all(abs(c) <= FLOAT_ZERO_EPS for c in self.vals)
 
     def order(self) -> Optional[int]:
-        live = [J[0] for J, c in self.coeffs.items() if abs(c) > FLOAT_ZERO_EPS]
-        return min(live) if live else None
+        return next((k for k, c in enumerate(self.vals) if abs(c) > FLOAT_ZERO_EPS), None)
 
     def coeff(self, e: int) -> complex:
-        return self.coeffs.get((e,), 0j)
+        return self.vals[e] if e < len(self.vals) else 0j
 
     def with_precision(self, k: int) -> "FloatSeries":
-        return FloatSeries(1, min(k, self.precision), self.coeffs)
+        return self.restated(min(k, self.precision))
 
     def restated(self, k: int) -> "FloatSeries":
         """The terms of degree <= k at precision k: a higher k reads the unknown tail as 0."""
-        return FloatSeries(1, k, self.coeffs)
+        return FloatSeries(self.vals[: k + 1], k)
 
     def __add__(self, other: "FloatSeries") -> "FloatSeries":
-        out = dict(self.coeffs)
-        for J, c in other.coeffs.items():
-            out[J] = out.get(J, 0j) + c
-        return FloatSeries(1, min(self.precision, other.precision), out)
+        prec = min(self.precision, other.precision)
+        x, y = self.vals[: prec + 1], other.vals[: prec + 1]
+        x += [0j] * (len(y) - len(x))
+        # a zero b leaves a as it is; a zero a (0j) gives 0j + b
+        return FloatSeries([(a + b or 0j) if b else a for a, b in zip(x, y)] + x[len(y):], prec)
 
     def __sub__(self, other: "FloatSeries") -> "FloatSeries":
         return self + other.scale(-1.0)
 
     def scale(self, c) -> "FloatSeries":
         c = complex(c)
-        return FloatSeries(1, self.precision, {J: c * v for J, v in self.coeffs.items()})
+        return FloatSeries([c * v or 0j for v in self.vals], self.precision)
 
     def __mul__(self, other: "FloatSeries") -> "FloatSeries":
         prec = min(self.precision, other.precision)
-        out: Dict[tuple, complex] = {}
-        for (e1,), c1 in self.coeffs.items():
-            for (e2,), c2 in other.coeffs.items():
-                if e1 + e2 <= prec:
-                    out[(e1 + e2,)] = out.get((e1 + e2,), 0j) + c1 * c2
-        return FloatSeries(1, prec, out)
+        n = min(prec + 1, len(self.vals) + len(other.vals) - 1)
+        out = [0j] * n
+        y = other.vals
+        for i, a in enumerate(self.vals[:n]):
+            if a:
+                for j, b in enumerate(y[: n - i], i):
+                    if b:
+                        out[j] += a * b
+        return FloatSeries([c or 0j for c in out], prec)
 
     def shift(self, e: int) -> "FloatSeries":
-        if any(d + e < 0 and abs(c) > FLOAT_ZERO_EPS for (d,), c in self.coeffs.items()):
+        if e >= 0:
+            return FloatSeries([0j] * e + self.vals, self.precision + e)
+        if any(abs(c) > FLOAT_ZERO_EPS for c in self.vals[:-e]):
             raise ValueError("negative exponent after shift")
-        return FloatSeries(1, self.precision + e, {(d + e,): c for (d,), c in self.coeffs.items()})
+        return FloatSeries(self.vals[-e:], self.precision + e)
 
     def substitute_power(self, m: int) -> "FloatSeries":
-        return FloatSeries(1, self.precision * m, {(d * m,): c for (d,), c in self.coeffs.items()})
+        out = [0j] * ((len(self.vals) - 1) * m + 1 if self.vals else 0)
+        out[::m] = self.vals
+        return FloatSeries(out, self.precision * m)
 
     def __repr__(self):
-        items = sorted(self.coeffs.items())
-        return " + ".join(f"({c:.4g})*t^{e}" for (e,), c in items) or "0"
-
-
-Ser = Union[TruncSeries, FloatSeries]
+        return " + ".join(f"({c:.4g})*t^{e}" for e, c in enumerate(self.vals) if c) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +572,7 @@ class PuiseuxBranch:
     the branch is certified through ``certified_order``."""
 
     ramification: int
-    w: Ser
+    w: Union[TruncSeries, FloatSeries]
     mode: str  # "exact" | "floating"
     tolerance: Optional[float]
     certified_order: int
@@ -606,7 +599,7 @@ class PuiseuxBranch:
     __repr__ = __str__
 
 
-def _regular_root(coeffs: List[Ser], N: int) -> Ser:
+def _regular_root(coeffs: list, N: int):
     """The solution w(t), w(0) = 0, of P(w) = sum c_i w^i = 0 when the
     vanishing root is simple (c_0(0) = 0, c_1(0) invertible).
 
@@ -616,19 +609,17 @@ def _regular_root(coeffs: List[Ser], N: int) -> Ser:
     for a = 0, 1, 3, 7, .. up to M.  P(w) and P'(w) come from one Horner
     pass.  M is the smallest precision among c_0 and the nonzero c_i,
     capped at N; w is returned at precision N, with no terms of degree 0
-    or above M.  Exact input iterates as ``DenseSeries`` (Z[i] numerators
-    over one denominator, each result normalized by one gcd) and becomes a
-    TruncSeries of reduced coefficients only on return; floating input
-    iterates as FloatSeries, and drops w_e when its share c_1(0) w_e of the
-    residual is at most FLOAT_ZERO_EPS."""
-    S = FloatSeries if isinstance(coeffs[0], FloatSeries) else DenseSeries
+    or above M.  The c_i and w are all ``DenseSeries`` (exact: Z[i]
+    numerators over one denominator, each result normalized by one gcd) or
+    all FloatSeries; a floating w drops w_e when its share c_1(0) w_e of
+    the residual is at most FLOAT_ZERO_EPS."""
+    S = type(coeffs[0])
     M = min([N, coeffs[0].precision] + [c.precision for c in coeffs[1:] if not c.is_zero()])
-    cs = [S.from_exact(coeffs[0])] + [
-        S.constant(1, M, 0) if c.is_zero() else S.from_exact(c) for c in coeffs[1:]]
+    cs = [coeffs[0]] + [S.constant(M, 0) if c.is_zero() else c for c in coeffs[1:]]
     # w and v are our own iterates: polynomials, restated at precision M
-    w = S.constant(1, M, 0)
+    w = S.constant(M, 0)
     c1_0 = cs[1].coeff(0)
-    v = S.constant(1, M, 1 / c1_0)
+    v = S.constant(M, 1 / c1_0)
     a = 0
     while a < M:
         p = min(2 * a + 1, M)
@@ -643,8 +634,9 @@ def _regular_root(coeffs: List[Ser], N: int) -> Ser:
         w = (w - v * r).restated(M)
         a = p
     if S is DenseSeries:
-        return TruncSeries(1, N, w.coeffs)
-    return FloatSeries(1, N, {J: c for J, c in w.coeffs.items() if J[0] and abs(c1_0 * c) > FLOAT_ZERO_EPS})
+        return w.restated(N)
+    return FloatSeries([c if e and abs(c1_0 * c) > FLOAT_ZERO_EPS else 0j
+                        for e, c in enumerate(w.vals)], N)
 
 
 def _lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -662,10 +654,11 @@ def _lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return hull
 
 
-def _transform(coeffs: List[Ser], q: int, m_e: int, l_const: int, c_lead, N: int) -> List[Ser]:
+def _transform(coeffs: list, q: int, m_e: int, l_const: int, c_lead, N: int) -> list:
     """Coefficients of P(tau^q, tau^m_e (c + w')) / tau^l_const in w'."""
     deg = len(coeffs) - 1
-    out: List[Ser] = [type(coeffs[0])(1, N) for _ in range(deg + 1)]
+    zero = type(coeffs[0]).constant(N, 0)
+    out = [zero] * (deg + 1)
     cpow = [c_lead**0]  # ONE or 1+0j: the one of c_lead's field
     for _ in range(deg):
         cpow.append(cpow[-1] * c_lead)
@@ -678,17 +671,20 @@ def _transform(coeffs: List[Ser], q: int, m_e: int, l_const: int, c_lead, N: int
     return [o.with_precision(N) for o in out]
 
 
-def _puiseux_rec(
-    coeffs: List[Ser], N: int, exact_only: bool, depth: int
-) -> List[Tuple[int, Ser]]:
+def _puiseux_rec(coeffs: list, N: int, exact_only: bool, depth: int) -> list:
     """Branches (ramification, w-series) with w(0) = 0 of the polynomial
-    sum_i c_i(t) w^i; a branch is exact when its w is a TruncSeries."""
+    sum_i c_i(t) w^i.  The c_i are all ``DenseSeries`` or all FloatSeries,
+    and every w comes back in the same type as the c_i that produced it: a
+    branch is exact when its w is a DenseSeries.  A characteristic root
+    outside Q(i) converts the exact c_i to FloatSeries once, for that root's
+    subtree."""
     if depth > N + 8:
         raise GermforgeError("Newton-polygon recursion failed to terminate")
     i0 = next((i for i, c in enumerate(coeffs) if not c.is_zero()), None)
     if i0 is None:
         raise GermforgeError("polynomial vanishes identically to precision")
-    out: List[Tuple[int, Ser]] = [(1, type(coeffs[0])(1, N)) for _ in range(i0)]
+    floating = isinstance(coeffs[0], FloatSeries)
+    out = [(1, type(coeffs[0]).constant(N, 0)) for _ in range(i0)]
     coeffs = coeffs[i0:]
     if len(coeffs) == 1:
         return out
@@ -712,11 +708,11 @@ def _puiseux_rec(
         m_e, q = rise // g, run // g
         width = run // q
         # reduced characteristic polynomial in eta = c^q
-        psi = [coeffs[i1 + s * q].coeffs.get((j1 - s * m_e,), ZERO) for s in range(width + 1)]
-        if isinstance(coeffs[0], TruncSeries):
-            exact_roots, float_roots = poly_roots_exact_first(psi)
+        psi = [coeffs[i1 + s * q].coeff(j1 - s * m_e) for s in range(width + 1)]
+        if floating:
+            exact_roots, float_roots = [], _cluster(_numeric_roots(psi))
         else:
-            exact_roots, float_roots = [], _cluster(_numeric_roots([complex(v) for v in psi]))
+            exact_roots, float_roots = poly_roots_exact_first(psi)
         l_const = q * j1 + m_e * i1
         for xi, _mult in exact_roots + float_roots:
             c_lead = _nth_root_exact(xi, q) if isinstance(xi, GaussianRational) else None
@@ -725,11 +721,12 @@ def _puiseux_rec(
                 if exact_only:
                     continue
                 c_lead = complex(xi) ** (1.0 / q)
-                work = [FloatSeries.from_exact(c) for c in coeffs]
+                if not floating:
+                    work = [FloatSeries.from_exact(c) for c in coeffs]
             for d_sub, w_sub in _puiseux_rec(
                 _transform(work, q, m_e, l_const, c_lead, N), N, exact_only, depth + 1
             ):
-                inner = type(w_sub).constant(1, N, c_lead) + w_sub
+                inner = type(w_sub).constant(N, c_lead) + w_sub
                 out.append((q * d_sub, inner.shift(m_e * d_sub).with_precision(N)))
     return out
 
@@ -755,19 +752,18 @@ def newton_puiseux(
             f"coefficients certified to {P.precision} < requested order {N}"
         )
     _nonzero_discriminant(P, disc)
-    coeffs: List[Ser] = [b.with_precision(N) for b in P.coeffs]
-    coeffs.append(TruncSeries.constant(1, N, 1))
+    coeffs = [DenseSeries.from_exact(b, N) for b in P.coeffs]
     branches = []
-    for d, w in _puiseux_rec(coeffs, N, exact_only, 0):
-        exact = isinstance(w, TruncSeries)
-        res_bound = _branch_residual(P, d, w, N)
+    for d, w in _puiseux_rec(coeffs + [DenseSeries.constant(N, ONE)], N, exact_only, 0):
+        exact = isinstance(w, DenseSeries)
+        res_bound = _branch_residual(coeffs, d, w, N)
         if not exact and not res_bound <= FLOAT_BRANCH_TOL:
             raise ExactnessError(f"floating branch d={d} leaves residual {res_bound:.3g} "
                                  f"through order {N}, above its tolerance {FLOAT_BRANCH_TOL}")
         branches.append(
             PuiseuxBranch(
                 ramification=d,
-                w=w,
+                w=TruncSeries._trusted(1, w.precision, w.coeffs) if exact else w,
                 mode="exact" if exact else "floating",
                 tolerance=None if exact else FLOAT_BRANCH_TOL,
                 certified_order=N,
@@ -777,22 +773,24 @@ def newton_puiseux(
     return branches
 
 
-def _branch_residual(P: WeierstrassPoly, d: int, w: Ser, N: int) -> float:
+def _branch_residual(coeffs: list, d: int, w, N: int) -> float:
     """Largest surviving coefficient magnitude of P(t^d, w(t)) through order N
-    (0.0 when everything cancels; exact zero for exact branches), evaluated
-    by Horner in P.degree products: on ``DenseSeries`` for an exact branch
-    (Z[i] numerators over one denominator, one gcd per product and sum,
-    reduced coefficients read only from a nonzero residual), on FloatSeries
-    for a floating one."""
-    S = FloatSeries if isinstance(w, FloatSeries) else DenseSeries
-    cs = [S.from_exact(b.with_precision(N).substitute_power(d).with_precision(N)) for b in P.coeffs]
-    w = S.from_exact(w.with_precision(N))
-    res = S.constant(1, N, 1)
+    (0.0 when everything cancels; exact zero for exact branches), where
+    ``coeffs`` are P's lower coefficients as ``DenseSeries`` at precision N.
+    Evaluated by Horner in P.degree products: on ``DenseSeries`` for an exact
+    branch (one gcd per product and sum, reduced coefficients read only
+    from a nonzero residual), on FloatSeries, converted here, for a floating
+    one."""
+    cs = [c.substitute_power(d).with_precision(N) for c in coeffs]
+    S = type(w)
+    if S is FloatSeries:
+        cs = [FloatSeries.from_exact(c) for c in cs]
+    res = S.constant(N, 1)
     for c in reversed(cs):
         res = res * w + c
     if S is DenseSeries:
         return max((float(c.norm2()) for c in res.coeffs.values()), default=0.0) ** 0.5
-    return max((abs(c) for c in res.coeffs.values()), default=0.0)
+    return max(map(abs, res.vals), default=0.0)
 
 
 # ---------------------------------------------------------------------------

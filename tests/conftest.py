@@ -79,6 +79,26 @@ def oracle_mul(a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def oracle_str(c: GaussianRational) -> str:
+    """str of a Gaussian rational, built from its parts as Fractions."""
+    re, im = c.re, c.im
+    if im == 0:
+        return str(re)
+    ims = f"{im}i" if abs(im) != 1 else ("i" if im > 0 else "-i")
+    if re == 0:
+        return ims
+    return f"{re}{'+' if im > 0 else ''}{ims}"
+
+
+def oracle_literal(c: GaussianRational) -> str:
+    """The coefficient as a factor: parenthesized when both parts are nonzero."""
+    return f"({oracle_str(c)})" if c.re != 0 and c.im != 0 else oracle_str(c)
+
+
+def oracle_negative_lead(c: GaussianRational) -> bool:
+    return c.re < 0 or (c.re == 0 and c.im < 0)
+
+
 def oracle_pow(a: dict, e: int, nvars: int) -> dict:
     out = {(0,) * nvars: ONE}
     for _ in range(e):

@@ -12,9 +12,11 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from germforge.coeffs import GaussianRational
+
+from conftest import oracle_literal, oracle_negative_lead, oracle_str
 
 BIG = 10**12
 
@@ -162,3 +164,25 @@ def test_hash_and_eq_examples():
     )
     assert normal(GaussianRational(Fraction(1, 6), Fraction(1, 4))) == (2, 3, 12)
     assert GaussianRational(0, 1) != 1 and GaussianRational(1) != 1.5
+
+
+@given(gauss)
+@example(GaussianRational(1, Fraction(1, 2)))  # (2+i)/2: the parts reduce separately
+@example(GaussianRational(Fraction(1, 3), 1))
+@example(GaussianRational(Fraction(-5, 6), -1))
+@example(GaussianRational(0, -1))
+@example(GaussianRational(-BIG, Fraction(BIG - 1, BIG)))
+@settings(max_examples=300, deadline=None)
+def test_printing_matches_the_fraction_formulas(x):
+    # str, the factor literal and the sign test read the integer triple
+    for c in (x, -x, x.conjugate()):
+        assert str(c) == oracle_str(c)
+        assert c.literal() == oracle_literal(c)
+        assert c.is_negative_lead() == oracle_negative_lead(c)
+
+
+def test_printing_examples():
+    assert str(GaussianRational(1, Fraction(1, 2))) == "1+1/2i"
+    assert GaussianRational(Fraction(-3, 4), -1).literal() == "(-3/4-i)"
+    assert [str(GaussianRational(0, b)) for b in (1, -1, Fraction(2, 6))] == ["i", "-i", "1/3i"]
+    assert str(GaussianRational(Fraction(-6, 4))) == "-3/2" and str(GaussianRational(0)) == "0"

@@ -147,21 +147,21 @@ def test_reconstruct_reality_preserved():
             assert out.coeff(K, J) == c.conjugate()
 
 
-def test_restrict_to_curve_matches_naive_expansion():
-    from conftest import oracle_curve_pullback, uni
-    from germforge.series import FormalCurve
-
-    pairs = {
-        ((1, 0), (1, 0)): ONE,
-        ((0, 1), (0, 1)): -ONE,
-    }
-    r = hermitian(2, 6, pairs)
-    c = FormalCurve([uni(18, {1: ONE, 2: g(1, 1)}), uni(18, {1: g(0, 1)})])
+@given(st.integers(0, 10**6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_restrict_to_curve_matches_naive_expansion(seed, data):
+    # random real forms in 2 or 3 variables along random curves; the result
+    # is built trusted, so it must also be what the validating constructor keeps
+    nvars = data.draw(st.integers(2, 3))
+    r = random_real_form(random.Random(seed), nvars, 4, 6)
+    c = data.draw(small_curves(dim=nvars))
     got = r.restrict_to_curve(c)
-    expected = oracle_curve_pullback(r.full_map(), [dict(cc.coeffs) for cc in c.components])
-    for (a, b), v in expected.items():
-        if a + b <= got.precision:
-            assert got.coeff((a,), (b,)) == v, (a, b)
+    assert got.precision == min(6 * c.vanishing_order(), c.precision)
+    expected = oracle_curve_pullback(r.full_map(), [dict(x.coeffs) for x in c.components])
+    assert got.full_map() == {
+        ((a,), (b,)): v for (a, b), v in expected.items() if a + b <= got.precision
+    }
+    assert HermitianForm(1, got.precision, got.full_map()) == got
 
 
 @given(st.integers(0, 10**6), small_curves(), st.integers(0, 24))

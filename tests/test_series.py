@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from germforge.coeffs import DenseSeries, GaussianRational, ONE, ZERO
 from germforge.errors import (
@@ -242,17 +242,42 @@ def test_dense_kernel_matches_the_dict_oracles(pair, c, k):
         a.coeffs.get((e,), ZERO) for e in range(a.precision + 1)]
 
 
+@given(kernel_series(), st.integers(-12, 12), st.integers(1, 4))
+@example(uni(3, {}), -2, 2)  # an empty series
+@example(uni(3, {}), -5, 1)  # shifted below precision 0
+@example(uni(4, {1: ONE}), -2, 1)  # a negative shift dropping a nonzero slot
+@settings(max_examples=100, deadline=None)
+def test_dense_shift_and_substitution_match_the_dict_oracles(a, e, m):
+    # the dense recursion reads zero tests and orders as TruncSeries does,
+    # and moves slots as the dict oracles move exponents
+    x = DenseSeries.from_exact(a)
+    assert x.is_zero() == a.is_zero() and x.order() == a.order()
+    sub = x.substitute_power(m)
+    assert (sub.precision, sub.coeffs) == (a.precision * m, a.substitute_power(m).coeffs)
+    assert sub.coeffs == {(k * m,): c for (k,), c in a.coeffs.items()}
+    if any(k + e < 0 for (k,) in a.coeffs):
+        with pytest.raises(ValueError, match="negative exponent"):
+            x.shift(e)
+    elif a.precision + e < 0:
+        with pytest.raises(PrecisionError):
+            x.shift(e)
+    else:
+        out = x.shift(e)
+        assert out.precision == a.precision + e
+        assert out.coeffs == {(k + e,): c for (k,), c in a.coeffs.items()}
+        assert out.order() == (None if a.is_zero() else a.order() + e)
+        assert len(out.re) == len(out.im) <= out.precision + 1
+
+
 @given(small_series(precision=5), small_series(precision=3), kernel_pairs(), kernel_coeff(),
-       st.integers(0, 3), st.integers(0, 4), st.integers(1, 3))
+       st.integers(0, 3), st.integers(1, 3))
 @settings(max_examples=80, deadline=None)
-def test_trusted_results_revalidate_unchanged(a, b, pair, c, k, e, m):
+def test_trusted_results_revalidate_unchanged(a, b, pair, c, k, m):
     # results built without validation are what the validating constructor keeps
     u, v = pair
     outs = [a + b, b + a, a - b, b - a, -a, a * b, b * a, a.scale(c), a.jet(k),
             u + v, v - u, u * v, -u, u.scale(c), u.jet(min(k, u.precision)),
-            u.shift(e), u.substitute_power(m)]
-    if u:
-        outs.append(u.shift(-u.order()))
+            u.substitute_power(m)]
     for out in outs:
         assert TruncSeries(out.nvars, out.precision, out.coeffs).coeffs == out.coeffs
 

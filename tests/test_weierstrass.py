@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germforge.coeffs import GaussianRational, ONE, ZERO
+from germforge.coeffs import DenseSeries, GaussianRational, ONE, ZERO
 from germforge.errors import (
     DiscriminantError,
     ExactnessError,
@@ -485,6 +485,10 @@ def test_branch_rejects_vanishing_discriminant():
         newton_puiseux(P, 30)
 
 
+def dense(coeffs):
+    return [DenseSeries.from_exact(c) for c in coeffs]
+
+
 @st.composite
 def regular_poly(draw):
     """Coefficients c_0..c_n (n = 2..4) of an exact polynomial in w with a
@@ -510,7 +514,7 @@ def regular_poly(draw):
 def test_regular_root_annihilates_through_its_precision(case):
     coeffs, N = case
     M = min([N, coeffs[0].precision] + [c.precision for c in coeffs[1:] if c])
-    w = _regular_root(coeffs, N)
+    w = _regular_root(dense(coeffs), N)
     assert w.precision == N
     assert all(0 < e <= M for (e,) in w.coeffs)
     # independent residual: plain dict convolutions
@@ -541,7 +545,7 @@ def test_regular_root_matches_the_order_by_order_solution(case, u):
             total = total + oracle_mul(c.coeffs, oracle_pow(w, i, 1)).get((e,), ZERO)
         if total:
             w[(e,)] = -total / u
-    root = _regular_root(coeffs, N)
+    root = _regular_root(dense(coeffs), N)
     assert root.precision == N and root.coeffs == w
 
 
@@ -550,11 +554,11 @@ def test_regular_root_keeps_every_order_through_its_precision():
     # both the exact and the floating iteration keep all 40
     coeffs = [uni(45, {1: -ONE}), uni(45, {0: ONE}), uni(45, {0: -ONE})]
     catalan = {(n,): comb(2 * n - 2, n - 1) // n for n in range(1, 41)}
-    exact = _regular_root(coeffs, 40)
+    exact = _regular_root(dense(coeffs), 40)
     assert exact.coeffs == catalan
-    floating = _regular_root([FloatSeries.from_exact(c) for c in coeffs], 40)
-    assert set(floating.coeffs) == set(catalan)
-    assert all(abs(floating.coeffs[J] - v) <= 1e-12 * v for J, v in catalan.items())
+    floating = _regular_root([FloatSeries.from_exact(c) for c in dense(coeffs)], 40)
+    assert {(e,) for e, c in enumerate(floating.vals) if c} == set(catalan)
+    assert all(abs(floating.coeff(e) - v) <= 1e-12 * v for (e,), v in catalan.items())
 
 
 def test_newton_puiseux_series_product_count(monkeypatch):
@@ -581,6 +585,94 @@ def test_newton_puiseux_series_product_count(monkeypatch):
     assert len(bs) == 2 and all(b.is_exact and b.residual_bound == 0.0 for b in bs)
     assert len(calls) <= 100
     assert len(scalar_calls) <= 1500
+
+
+def test_puiseux_recursion_builds_no_truncseries(monkeypatch):
+    # the recursion runs on DenseSeries (or FloatSeries) from entry to exit:
+    # only newton_puiseux, around it, builds TruncSeries
+    from germforge import weierstrass
+
+    depth, inside, outside = [0], [], []
+    rec, init, trusted = weierstrass._puiseux_rec, TruncSeries.__init__, TruncSeries._trusted.__func__
+
+    def tracked(*args):
+        depth[0] += 1
+        try:
+            return rec(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted_init(self, *args):
+        (inside if depth[0] else outside).append(1)
+        init(self, *args)
+
+    def counted_trusted(cls, *args):
+        (inside if depth[0] else outside).append(1)
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(weierstrass, "_puiseux_rec", tracked)
+    monkeypatch.setattr(TruncSeries, "__init__", counted_init)
+    monkeypatch.setattr(TruncSeries, "_trusted", classmethod(counted_trusted))
+    cases = [
+        wpoly(2, {2: -ONE, 3: g(-2)}, {}),  # two regular tails
+        wpoly(2, {3: -ONE}, {}),  # a ramified cusp
+        wpoly(4, {4: g(1, 0), 5: g(-1)}, {}, {2: g(-2)}, {}),  # a ramified pair
+        wpoly(2, {}, {1: -ONE}),  # a zero branch
+        wpoly(2, {2: g(-2)}, {}),  # floating branches
+    ]
+    for P in cases:
+        assert newton_puiseux(P, 30)
+    assert inside == [] and outside
+
+
+@st.composite
+def float_series(draw):
+    """A FloatSeries and its coefficients as a {degree: complex} dict, with
+    exact zeros and values that cancel when added to their negatives."""
+    prec = draw(st.integers(0, 25))
+    parts = st.floats(-1e3, 1e3, allow_nan=False).map(lambda x: 0.0 if abs(x) < 1e-3 else x)
+    terms = draw(st.dictionaries(st.integers(0, prec), st.builds(complex, parts, parts), max_size=12))
+    vals = [terms.get(k, 0j) or 0j for k in range(max(terms, default=-1) + 1)]
+    return FloatSeries(vals, prec), {k: c for k, c in terms.items() if c}
+
+
+def _close(got, precision, want: dict, size: dict):
+    """got has this precision and, at every degree, want's value within 1e-12
+    of the size of the terms that make it."""
+    assert got.precision == precision
+    assert len(got.vals) <= precision + 1
+    for k in range(precision + 1):
+        assert abs(got.coeff(k) - want.get(k, 0j)) <= 1e-12 * size.get(k, 0.0), k
+
+
+@given(float_series(), float_series(), st.complex_numbers(max_magnitude=10, allow_nan=False),
+       st.integers(-6, 6), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_float_series_matches_the_complex_dict_oracles(xa, yb, c, e, m):
+    (x, a), (y, b) = xa, yb
+    prec = min(x.precision, y.precision)
+    low = range(prec + 1)
+    _close(x + y, prec, {k: a.get(k, 0j) + b.get(k, 0j) for k in low},
+           {k: abs(a.get(k, 0j)) + abs(b.get(k, 0j)) for k in low})
+    _close(x - y, prec, {k: a.get(k, 0j) - b.get(k, 0j) for k in low},
+           {k: abs(a.get(k, 0j)) + abs(b.get(k, 0j)) for k in low})
+    prod_, size = {}, {}
+    for i, u in a.items():
+        for j, v in b.items():
+            if i + j <= prec:
+                prod_[i + j] = prod_.get(i + j, 0j) + u * v
+                size[i + j] = size.get(i + j, 0.0) + abs(u) * abs(v)
+    _close(x * y, prec, prod_, size)
+    _close(x.scale(c), x.precision, {k: c * u for k, u in a.items()},
+           {k: abs(c * u) for k, u in a.items()})
+    _close(x.substitute_power(m), x.precision * m, {k * m: u for k, u in a.items()},
+           {k * m: abs(u) for k, u in a.items()})
+    if any(k + e < 0 for k in a):
+        with pytest.raises(ValueError, match="negative exponent"):
+            x.shift(e)
+    elif x.precision + e >= 0:
+        _close(x.shift(e), x.precision + e, {k + e: u for k, u in a.items()},
+               {k + e: abs(u) for k, u in a.items()})
 
 
 def test_branch_huge_coefficient_is_an_exactness_error():
