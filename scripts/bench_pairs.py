@@ -11,8 +11,10 @@ the medians, and in how many pairs the working tree was better (in the
 direction BENCHMARK.json gives the metric).  After the table it prints, for
 each end-to-end metric, the ratio of the change's median to the parent's
 and flags every metric that is worse than the parent's by more than its
-BENCHMARK.json ``bound``, and a larger share of failed jobs.  The last line
-is the runs' values as JSON.
+BENCHMARK.json ``bound``, and a larger share of failed jobs, then each
+side's median and maximum total wall time of one run.py process, from start
+to exit: set-up probes, timed loop and output checks.  The last line is the
+runs' values as JSON.
 
 Usage:
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload algebra \\
@@ -30,6 +32,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,17 +48,20 @@ def export_ref(ref: str) -> Path:
     return dest
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run from ``tree``; returns its final JSON object."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
+    """One perfbench run from ``tree``; returns its final JSON object and
+    the process's wall time in seconds."""
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
+    wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"perfbench failed in {tree} (exit {proc.returncode}):\n{proc.stderr}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), wall
 
 
 def quartiles(xs: list) -> tuple:
@@ -80,18 +86,21 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     parent = export_ref(args.parent)
     runs = {"parent": [], "change": []}
+    walls = {"parent": [], "change": []}
     try:
         for i in range(args.pairs):
             seed = seeds[i % len(seeds)]
             order = [("parent", parent), ("change", ROOT)]
             for side, tree in order if i % 2 == 0 else order[::-1]:
-                got = run_once(tree, args.workload, seed, args.seconds, args.trace)
+                got, wall = run_once(tree, args.workload, seed, args.seconds, args.trace)
                 runs[side].append(got)
+                walls[side].append(wall)
             values = {side: {k: v["value"] for k, v in runs[side][-1]["metrics"].items()}
                       for side in runs}
             print(f"pair {i + 1} seed {seed}: " + "  ".join(
                 f"{name} {values['parent'][name]:.4g} -> {values['change'][name]:.4g}"
-                for name in values["parent"]), flush=True)
+                for name in values["parent"])
+                + f"  run wall {walls['parent'][-1]:.1f} s -> {walls['change'][-1]:.1f} s", flush=True)
     finally:
         shutil.rmtree(parent, ignore_errors=True)
 
@@ -126,6 +135,10 @@ def main(argv=None) -> int:
               for side in runs}
     flag = "WORSE" if failed["change"] > failed["parent"] else "ok"
     print(f"{'failed share':34} {failed['parent']:.4g} -> {failed['change']:.4g}  {flag}")
+    for side in walls:
+        print(f"run wall time, {side}: median {statistics.median(walls[side]):.1f} s, "
+              f"max {max(walls[side]):.1f} s")
+    summary["run_wall_s"] = walls
     print(json.dumps(summary))
     return 0
 

@@ -5,10 +5,12 @@ Generates the jobs of the first ``--rounds`` rounds of a benchmark workload
 for each seed with ``perfbench/workloads.generate`` and writes their inputs
 once.  Then each tree (the parent, exported with ``git archive``, and the
 working tree) runs every job in one subprocess of its own that calls
-``germforge.cli.main`` in process, as the benchmark does.  Exit code, stdout
-and stderr are compared byte for byte; every job that differs is printed,
-then each side's five slowest jobs with the wall times of both sides, and
-the exit status is 1 if any job differs.
+``germforge.cli.main`` in process, as the benchmark does; each side runs
+RUNS times, the sides alternating.  Exit code, stdout and stderr are
+compared byte for byte, between the sides and between the runs of one side
+(a cache keyed wrongly shows there); every job that differs is printed, then
+each side's five slowest jobs by their fastest run, with the fastest run of
+the other side, and the exit status is 1 if any job differs.
 
 A side whose subprocess runs longer than WORKER_TIMEOUT_S is stopped; the
 script then names the side and the job that was running, and exits 1.
@@ -37,6 +39,10 @@ from workloads import generate, write_inputs  # noqa: E402
 # Wall-time limit of one side's worker: the ten-seed, 40-round algebra diff
 # takes about 25 s a side on a 2-vCPU host, the four-seed pipeline diffs less.
 WORKER_TIMEOUT_S = 900
+
+# Runs of each side: one job's wall time varies by up to 4.7x between two
+# runs of one tree, so a job's time is the fastest of its runs.
+RUNS = 2
 
 # Reads a JSON list of argv lists on stdin, runs each through cli.main and
 # writes a JSON list of [exit code, stdout, stderr, wall seconds]; an
@@ -99,24 +105,30 @@ def main(argv=None) -> int:
             for job in (j for jobs_of_round in rounds for j in jobs_of_round):
                 jobs.append(f"seed {seed} {job.describe()}")
                 argvs.append([str(directory / a) if a in job.files else a for a in job.argv])
-        got = {side: run_tree(side, tree, argvs, jobs)
-               for side, tree in (("parent", parent), ("change", ROOT))}
+        got = {"parent": [], "change": []}
+        for _ in range(RUNS):
+            for side, tree in (("parent", parent), ("change", ROOT)):
+                got[side].append(run_tree(side, tree, argvs, jobs))
     finally:
         shutil.rmtree(parent, ignore_errors=True)
         shutil.rmtree(inputs, ignore_errors=True)
 
     fields = ("exit code", "stdout", "stderr")
     differ = 0
-    for name, p, c in zip(jobs, got["parent"], got["change"]):
-        diff = [f for f, a, b in zip(fields, p, c) if a != b]
+    for j, name in enumerate(jobs):
+        first = got["parent"][0][j]
+        diff = [f"{side} run {k + 1} {f}" for side, runs in got.items()
+                for k, run in enumerate(runs)
+                for f, a, b in zip(fields, first, run[j]) if a != b]
         if diff:
             differ += 1
-            print(f"DIFFERS ({', '.join(diff)}): {name}")
+            print(f"DIFFERS from parent run 1 ({', '.join(diff)}): {name}")
     print(f"{args.workload}: {len(jobs)} jobs, seeds {args.seeds}, rounds 0-{args.rounds - 1}, "
-          f"parent {args.parent}: {differ} differ")
-    times = {side: [r[3] for r in results] for side, results in got.items()}
+          f"parent {args.parent}, {RUNS} runs a side: {differ} differ")
+    times = {side: [min(run[j][3] for run in runs) for j in range(len(jobs))]
+             for side, runs in got.items()}
     for side, other in (("parent", "change"), ("change", "parent")):
-        print(f"{side}: five slowest jobs ({other} time in brackets)")
+        print(f"{side}: five slowest jobs, fastest of {RUNS} runs ({other} time in brackets)")
         for i in sorted(range(len(jobs)), key=times[side].__getitem__, reverse=True)[:5]:
             print(f"  {times[side][i]:8.3f} s  ({times[other][i]:.3f} s)  {jobs[i]}")
     return 1 if differ else 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .coeffs import GaussianRational, ZERO, as_gauss
+from .coeffs import GaussianRational, ONE, ZERO, as_gauss
 from .errors import DimensionMismatch, PrecisionError, RealityError
 from .series import (
     CurvePowers,
@@ -171,7 +171,9 @@ class HermitianForm:
         lowered to at most ``upto`` when given; every coefficient through the
         output precision is the full restriction's.  ``base`` is the power
         table of a curve sharing components with this one (see
-        :class:`CurvePowers`).
+        :class:`CurvePowers`).  Along a monomial curve (at most one term per
+        component, c_i t^(a_i)) the image of z^J is the one term
+        prod c_i^(J_i) t^(a.J), computed without series products.
         """
         if self.nvars != curve.dim:
             raise DimensionMismatch(
@@ -185,17 +187,41 @@ class HermitianForm:
         prec = min(self.precision * nu, curve.precision)
         if upto is not None:
             prec = min(prec, upto)
-        powers = CurvePowers(curve, prec, base)
+        if all(len(c.coeffs) <= 1 for c in curve.components):
+            monos = [next(iter(c.coeffs.items()), None) for c in curve.components]
+            images: dict = {}
+
+            def image(J) -> dict:
+                got = images.get(J)
+                if got is None:
+                    deg, coef = 0, ONE
+                    for x, mono in zip(J, monos):
+                        if not x:
+                            continue
+                        if mono is None:
+                            got = {}  # J meets a zero component
+                            break
+                        (d,), ci = mono
+                        deg, coef = deg + x * d, coef if ci == ONE else coef * ci ** x
+                    else:
+                        got = {(deg,): coef}  # a degree beyond prec is skipped below
+                    images[J] = got
+                return got
+        else:
+            powers = CurvePowers(curve, prec, base)
+
+            def image(J) -> dict:
+                return powers.image(J).coeffs
         out: Dict[PairKey, GaussianRational] = {}
         for J, K, c in self.full_items():
             if nu * (sum(J) + sum(K)) > prec:
                 continue  # every term of this pair lies beyond the precision
-            AJ = powers.image(J)
-            AK = powers.image(K)
-            if AJ.is_zero() or AK.is_zero():
+            AJ = image(J)
+            AK = image(K)
+            if not AJ or not AK:
                 continue
-            for (a,), ca in AJ.coeffs.items():
-                for (b,), cb in AK.coeffs.items():
+            for (a,), ca in AJ.items():
+                for (b,), cb in AK.items():
                     if a + b > prec:
                         continue
                     key = ((a,), (b,))

@@ -153,6 +153,8 @@ def _degree_slice(p: HermitianForm, m: int) -> Dict[Tuple[int, int], GaussianRat
 
 
 PairList = List[Tuple[Multidegree, Multidegree, GaussianRational]]
+# (k, l, lowest t-degree, J - k e_i, K - l e_i, c C(J_i, k) C(K_i, l))
+ProbeTable = List[Tuple[int, int, int, Multidegree, Multidegree, GaussianRational]]
 
 
 def component_pairs(r: HermitianForm) -> List[PairList]:
@@ -163,23 +165,18 @@ def component_pairs(r: HermitianForm) -> List[PairList]:
     return [[(J, K, c) for J, K, c in full if J[i] or K[i]] for i in range(r.nvars)]
 
 
-def probe_slice_terms(
-    pairs: PairList, base: CurvePowers, i: int, e: int, m: int
-) -> Dict[Tuple[int, int], Dict[Tuple[int, int], GaussianRational]]:
-    """The (delta, conj delta) dependence of the degree-m slice of r along
-    base's curve when delta * t^e is added to component i; ``pairs`` is
+def probe_table(pairs: PairList, base: CurvePowers, i: int) -> ProbeTable:
+    """The terms by which adding delta * t^e to component i changes r's
+    restriction along base's curve, listed once for every e; ``pairs`` is
     r's list for component i from :func:`component_pairs`.
 
-    Returns (k, l) -> P_kl, k + l >= 1, with the perturbed slice equal to
-    v0 + sum P_kl delta^k conj(delta)^l for every delta, where v0 is the
-    slice along the curve itself.  Expanding
-    (gamma_i + delta t^e)^{J_i} binomially gives
-    P_kl[(a + ek, b + el)] = sum c_JK C(J_i, k) C(K_i, l)
-    [t^a] gamma^{J - k e_i} conj([t^b] gamma^{K - l e_i}), a + b = m - e(k + l);
-    every image is read from ``base``, whose precision must be at least m.
-    Keys are the ones ``_degree_slice`` reads: (a, b) with a <= b or b = 0.
-    Entries that cancel to zero, and groups left empty, are dropped, so an
-    empty result means v(delta) = v0."""
+    Expanding (gamma_i + delta t^e)^{J_i} binomially, a pair (J, K, c)
+    gives for each (k, l), k <= J_i, l <= K_i, k + l >= 1, the term
+    c C(J_i, k) C(K_i, l) gamma^{J - k e_i} conj(gamma^{K - l e_i})
+    delta^k conj(delta)^l t^{ek} tbar^{el}.  An entry holds the lowest
+    t-degree of the two images (from the component orders at base's
+    precision); a term whose image is zero through that precision is left
+    out."""
     ords = [c.order() for c in base.components]
 
     def lowest(J) -> Optional[int]:
@@ -192,7 +189,7 @@ def probe_slice_terms(
                 low += x * ords[j]
         return low
 
-    terms: Dict[Tuple[int, int], Dict[Tuple[int, int], GaussianRational]] = {}
+    table: ProbeTable = []
     for J, K, c in pairs:
         ji, ki = J[i], K[i]
         for k in range(ji + 1):
@@ -201,25 +198,45 @@ def probe_slice_terms(
             if low_j is None:
                 continue
             for l in range(ki + 1):
-                if not k and not l:
-                    continue
                 Kl = K[:i] + (ki - l,) + K[i + 1:]
                 low_k = lowest(Kl)
-                rest = m - e * (k + l)
-                if low_k is None or low_j + low_k > rest:
-                    continue
-                A = base.image(Jk).coeffs
-                B = base.image(Kl).coeffs
-                coef = c * (comb(ji, k) * comb(ki, l))
-                out = terms.setdefault((k, l), {})
-                for (a,), ca in A.items():
-                    cb = B.get((rest - a,))
-                    if cb is None:
-                        continue
-                    key = (a + e * k, rest - a + e * l)
-                    if key[0] > key[1] > 0:
-                        continue  # conjugate partner of a stored key
-                    out[key] = out.get(key, ZERO) + coef * ca * cb.conjugate()
+                if (k or l) and low_k is not None:
+                    table.append((k, l, low_j + low_k, Jk, Kl, c * (comb(ji, k) * comb(ki, l))))
+    return table
+
+
+def probe_slice_terms(
+    table: ProbeTable, base: CurvePowers, e: int, m: int
+) -> Dict[Tuple[int, int], Dict[Tuple[int, int], GaussianRational]]:
+    """The (delta, conj delta) dependence of the degree-m slice of r along
+    base's curve when delta * t^e is added to component i; ``table`` is
+    :func:`probe_table` for component i.
+
+    Returns (k, l) -> P_kl, k + l >= 1, with the perturbed slice equal to
+    v0 + sum P_kl delta^k conj(delta)^l for every delta, where v0 is the
+    slice along the curve itself:
+    P_kl[(a + ek, b + el)] = sum c_JK C(J_i, k) C(K_i, l)
+    [t^a] gamma^{J - k e_i} conj([t^b] gamma^{K - l e_i}), a + b = m - e(k + l).
+    Only the entries whose lowest degree reaches m are summed; every image is
+    read from ``base``, whose precision must be at least m.  Keys are the
+    ones ``_degree_slice`` reads: (a, b) with a <= b or b = 0.  Entries that
+    cancel to zero, and groups left empty, are dropped, so an empty result
+    means v(delta) = v0."""
+    terms: Dict[Tuple[int, int], Dict[Tuple[int, int], GaussianRational]] = {}
+    for k, l, low, Jk, Kl, coef in table:
+        rest = m - e * (k + l)
+        if low > rest:
+            continue
+        B = base.image(Kl).coeffs
+        out = terms.setdefault((k, l), {})
+        for (a,), ca in base.image(Jk).coeffs.items():
+            cb = B.get((rest - a,))
+            if cb is None:
+                continue
+            key = (a + e * k, rest - a + e * l)
+            if key[0] > key[1] > 0:
+                continue  # conjugate partner of a stored key
+            out[key] = out.get(key, ZERO) + coef * ca * cb.conjugate()
     return {kl: live for kl, out in terms.items() if (live := {k: v for k, v in out.items() if v})}
 
 
@@ -262,84 +279,98 @@ def _solve_affine(terms: Dict, v0: Dict) -> Optional[GaussianRational]:
     return delta if delta else None
 
 
-def _try_kill_lowest(
-    r: HermitianForm,
-    nu: int,
-    i: int,
-    e: int,
-    m: int,
-    v0: dict,
-    base: CurvePowers,
-    pairs: PairList,
-) -> Optional[GaussianRational]:
-    """Probe whether adding delta * t^e to component i of a curve of order
-    ``nu`` can cancel every degree-m coefficient of the pullback. Returns
-    delta or None.
+class _CurveRecord:
+    """One distinct curve that a search visits, with the work done along
+    it: its full restriction ``p`` and order ``m``; the degree-m slice v0,
+    nu and the power table at precision m (``probe_base``), built when a
+    probe first needs them; one :func:`probe_table` per component; and the
+    outcome of each (component, degree) probe, the record of the accepted
+    candidate curve or None."""
 
-    ``v0`` is the degree-m slice along the curve itself and ``base`` the
-    curve's power table at precision m, ``pairs`` r's pairs that involve
-    component i (:func:`component_pairs`).  The slice along the perturbed
-    curve is v(delta) = v0 + sum P_kl delta^k conj(delta)^l, with the P_kl
-    of :func:`probe_slice_terms`; delta is solved exactly only when that
-    sum is affine in delta (:func:`_solve_affine`).  When the perturbation
-    lowers nu to e and r.precision * e < m, no probe curve's restriction
-    reaches degree m, and the probe fails."""
-    if e < nu and r.precision * e < m:
-        return None
-    terms = probe_slice_terms(pairs, base, i, e, m)
-    if not terms:
-        return None  # v(delta) = v0, which is nonzero at degree m
-    return _solve_affine(terms, v0)
+    __slots__ = ("curve", "p", "m", "probe_base", "tables", "outcomes")
+
+    def __init__(self, r: HermitianForm, curve: FormalCurve):
+        self.curve, self.p = curve, r.restrict_to_curve(curve)
+        self.m = self.p.order()
+        self.probe_base = None
+        self.tables: Dict[int, ProbeTable] = {}
+        self.outcomes: Dict[Tuple[int, int], Optional[_CurveRecord]] = {}
+
+
+class _CurveRecords:
+    """The records of one search, keyed by the curve's value (each
+    component's sorted coefficient items; the curves of one search share
+    one precision).  They live for one :func:`monomial_curve_search` call,
+    so a curve that another exponent tuple reached costs dict lookups."""
+
+    def __init__(self, r: HermitianForm):
+        self.r, self.pairs, self.records = r, component_pairs(r), {}
+
+    def record(self, curve: FormalCurve) -> _CurveRecord:
+        key = tuple(tuple(sorted(c.coeffs.items())) for c in curve.components)
+        got = self.records.get(key)
+        if got is None:
+            got = self.records[key] = _CurveRecord(self.r, curve)
+        return got
+
+    def kill_lowest(self, rec: _CurveRecord, i: int, e: int) -> Optional[_CurveRecord]:
+        """The record of the curve with delta * t^e added to component i,
+        for the delta that cancels every degree-m coefficient, or None when
+        no delta does; probed once per record.
+
+        The slice along the perturbed curve is
+        v(delta) = v0 + sum P_kl delta^k conj(delta)^l
+        (:func:`probe_slice_terms`); delta is solved exactly only when that
+        sum is affine in delta (:func:`_solve_affine`), and the candidate is
+        kept only when its restriction through degree m vanishes.  When the
+        perturbation lowers nu to e and r.precision * e < m, no probe curve's
+        restriction reaches degree m, and the probe fails."""
+        if (i, e) not in rec.outcomes:
+            rec.outcomes[(i, e)] = self._probe(rec, i, e)
+        return rec.outcomes[(i, e)]
+
+    def _probe(self, rec: _CurveRecord, i: int, e: int) -> Optional[_CurveRecord]:
+        r, curve, m = self.r, rec.curve, rec.m
+        if rec.probe_base is None:
+            rec.probe_base = (_degree_slice(rec.p, m), curve.vanishing_order(), CurvePowers(curve, m))
+        v0, nu, base = rec.probe_base
+        if e < nu and r.precision * e < m:
+            return None
+        table = rec.tables.get(i)
+        if table is None:
+            table = rec.tables[i] = probe_table(self.pairs[i], base, i)
+        terms = probe_slice_terms(table, base, e, m)
+        if not terms:
+            return None  # v(delta) = v0, which is nonzero at degree m
+        delta = _solve_affine(terms, v0)
+        if delta is None:
+            return None
+        comp = curve.components[i] + TruncSeries.monomial(1, curve.precision, (e,), delta)
+        cand = curve.with_component(i, comp)
+        if cand.is_constant() or r.restrict_to_curve(cand, upto=m, base=base).order() is not None:
+            return None  # no actual progress
+        return self.record(cand)
 
 
 def _refine_curve(
-    r: HermitianForm,
-    curve: FormalCurve,
-    exps: Tuple[int, ...],
-    max_coeff_degree: int,
-    pairs: List[PairList],
-) -> Tuple[FormalCurve, HermitianForm]:
+    records: _CurveRecords, curve: FormalCurve, exps: Tuple[int, ...], max_coeff_degree: int
+) -> _CurveRecord:
     """Greedy order-by-order cancellation: extend components with correction
     terms (polynomial ansatz of bounded degree) whenever the lowest surviving
     pullback terms can be removed by an exactly solvable linear condition.
-    ``pairs`` is :func:`component_pairs` of r.
-
-    Returns the refined curve and r's full restriction along it."""
+    Returns the record of the refined curve."""
+    rec = records.record(curve)
     budget = sum(max_coeff_degree for a in exps if a > 0)
-    used = 0
-    while used <= budget:
-        p = r.restrict_to_curve(curve)
-        m = p.order()
-        if m is None:
-            return curve, p  # full cancellation within precision
-        v0 = _degree_slice(p, m)
-        nu = curve.vanishing_order()
-        base = CurvePowers(curve, m)
-        applied = False
-        for i, a in enumerate(exps):
-            if a == 0:
-                continue
-            for e in range(a, a + max_coeff_degree + 1):
-                delta = _try_kill_lowest(r, nu, i, e, m, v0, base, pairs[i])
-                if delta is None:
-                    continue
-                comp = curve.components[i] + TruncSeries.monomial(
-                    1, curve.precision, (e,), delta
-                )
-                cand = curve.with_component(i, comp)
-                if cand.is_constant():
-                    continue
-                if r.restrict_to_curve(cand, upto=m, base=base).order() is not None:
-                    continue  # no actual progress; keep scanning
-                curve = cand
-                applied = True
-                used += 1
-                break
-            if applied:
-                break
-        if not applied:
-            return curve, p
-    return curve, r.restrict_to_curve(curve)  # p belongs to an earlier curve
+    for _ in range(budget + 1):
+        if rec.m is None:
+            return rec  # full cancellation within precision
+        scan = (records.kill_lowest(rec, i, e) for i, a in enumerate(exps) if a
+                for e in range(a, a + max_coeff_degree + 1))
+        nxt = next((got for got in scan if got is not None), None)
+        if nxt is None:
+            return rec
+        rec = nxt
+    return rec
 
 
 def monomial_curve_search(
@@ -356,12 +387,11 @@ def monomial_curve_search(
         raise GermforgeError(f"max_exponent must be >= 1, got {max_exponent}")
     n = r.nvars
     prec = r.precision * max_exponent
-    pairs = component_pairs(r)
+    records = _CurveRecords(r)
 
     def score(exps: Tuple[int, ...]):
-        curve = FormalCurve.from_monomials(exps, prec)
-        curve, p = _refine_curve(r, curve, exps, max_coeff_degree, pairs)
-        return curve, _ratio_from(p, curve.vanishing_order())
+        rec = _refine_curve(records, FormalCurve.from_monomials(exps, prec), exps, max_coeff_degree)
+        return rec.curve, _ratio_from(rec.p, rec.curve.vanishing_order())
 
     results = [score(exps) for exps in exponent_tuples(n, max_exponent)]
     results.sort(key=lambda cr: cr[1].sort_key(), reverse=True)

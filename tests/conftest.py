@@ -306,6 +306,47 @@ def oracle_two_real_unknowns(rows):
     return x, y
 
 
+def reference_curve_search(r: HermitianForm, max_exponent: int, max_coeff_degree: int):
+    """``monomial_curve_search`` as a plain loop that keeps nothing between
+    steps: every exponent tuple's walk restricts each of its curves, and
+    builds and solves each (component, degree) probe, afresh."""
+    from germforge.series import CurvePowers, exponent_tuples
+    from germforge.typeengine import (
+        _degree_slice, _solve_affine, component_pairs, dangelo_ratio, probe_slice_terms, probe_table,
+    )
+
+    pairs = component_pairs(r)
+    prec = r.precision * max_exponent
+    results = []
+    for exps in exponent_tuples(r.nvars, max_exponent):
+        curve = FormalCurve.from_monomials(exps, prec)
+        budget, used = sum(max_coeff_degree for a in exps if a), 0
+        while used <= budget:
+            p = r.restrict_to_curve(curve)
+            m = p.order()
+            if m is None:
+                break
+            v0, nu, base = _degree_slice(p, m), curve.vanishing_order(), CurvePowers(curve, m)
+            for i, e in ((i, e) for i, a in enumerate(exps) if a
+                         for e in range(a, a + max_coeff_degree + 1)):
+                if e < nu and r.precision * e < m:
+                    continue
+                terms = probe_slice_terms(probe_table(pairs[i], base, i), base, e, m)
+                delta = _solve_affine(terms, v0) if terms else None
+                if delta is None:
+                    continue
+                cand = curve.with_component(i, curve.components[i] + uni(prec, {e: delta}))
+                if cand.is_constant() or r.restrict_to_curve(cand, upto=m, base=base).order() is not None:
+                    continue
+                curve, used = cand, used + 1
+                break
+            else:
+                break
+        results.append((curve, dangelo_ratio(r, curve)))
+    results.sort(key=lambda cr: cr[1].sort_key(), reverse=True)
+    return results
+
+
 # ---------------------------------------------------------------------------
 # randomized real-valued forms
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from germforge.coeffs import GaussianRational, ONE, ZERO
 from germforge.errors import RealityError
 from germforge.hermitian import HermitianForm, decompose, reconstruct
-from germforge.series import CurvePowers, TruncSeries
+from germforge.series import CurvePowers, FormalCurve, TruncSeries
 
 from conftest import (
     g,
@@ -172,6 +172,39 @@ def test_bounded_restriction_is_the_full_restriction_truncated(seed, c, k):
     got = r.restrict_to_curve(c, upto=k)
     assert got.precision == min(full.precision, k)
     assert got == full.jet(got.precision)
+    expected = oracle_curve_pullback(r.full_map(), [dict(x.coeffs) for x in c.components])
+    assert got.full_map() == {
+        ((a,), (b,)): v for (a, b), v in expected.items() if a + b <= got.precision
+    }
+
+
+small_gauss = st.builds(
+    g, st.fractions(-3, 3, max_denominator=3), st.fractions(-3, 3, max_denominator=3)
+)
+
+
+@given(
+    st.integers(0, 10**6),
+    st.lists(st.tuples(st.integers(0, 3), small_gauss), min_size=2, max_size=3),
+    st.one_of(st.none(), st.integers(0, 20)),
+)
+@settings(max_examples=80, deadline=None)
+def test_monomial_curves_restrict_like_the_series_loop(seed, comps, upto):
+    """Along a monomial curve (zero components allowed) the restriction
+    reads each pair's one term; the series loop, forced by a term of degree
+    P beyond the output precision that the power table cuts off again, gives
+    the same dict in the same insertion order."""
+    r = random_real_form(random.Random(seed), len(comps), 4, 6)
+    P = 6 * 3 + 1  # above precision * nu for every nu <= 3
+    c = FormalCurve([uni(P, {a: x} if a and x else {}) for a, x in comps])
+    if c.is_constant():
+        return
+    got = r.restrict_to_curve(c, upto=upto)
+    j = next(j for j, x in enumerate(c.components) if x)
+    padded = c.with_component(j, c.components[j] + uni(P, {P: g(1, 1)}))
+    loop = r.restrict_to_curve(padded, upto=got.precision)
+    assert got.precision == loop.precision < P
+    assert list(got.coeffs.items()) == list(loop.coeffs.items())
     expected = oracle_curve_pullback(r.full_map(), [dict(x.coeffs) for x in c.components])
     assert got.full_map() == {
         ((a,), (b,)): v for (a, b), v in expected.items() if a + b <= got.precision

@@ -18,9 +18,9 @@ from germforge.series import CurvePowers, FormalCurve, TruncSeries, reparametriz
 from germforge.typeengine import (
     GramMismatch,
     UnitaryBlock,
+    _CurveRecords,
     _degree_slice,
     _solve_affine,
-    _try_kill_lowest,
     build_ideal,
     component_pairs,
     dangelo_ratio,
@@ -28,6 +28,7 @@ from germforge.typeengine import (
     match_unitary,
     monomial_curve_search,
     probe_slice_terms,
+    probe_table,
     witness_check,
 )
 
@@ -36,7 +37,10 @@ from conftest import (
     hermitian,
     oracle_curve_pullback,
     oracle_two_real_unknowns,
+    random_gauss,
+    random_multidegree,
     random_real_form,
+    reference_curve_search,
     small_curves,
     uni,
 )
@@ -269,6 +273,53 @@ def test_search_lists_the_form_pairs_once_per_component(monkeypatch):
     assert counts["walks"] - counts["restrict"] <= r.nvars
 
 
+@given(st.integers(0, 10**6), st.integers(2, 3), st.integers(1, 3), st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_search_matches_the_reference_loop(seed, nvars, max_exponent, max_coeff_degree):
+    """Reading each curve's work from its record gives the curves, ratios and
+    order of the loop that restricts every curve and probes every (i, e)
+    afresh.  The form has a term 2 Re(z_n + c z^J), J free of z_n, so
+    corrections land."""
+    rng = random.Random(seed)
+    zero, J, c = (0,) * nvars, random_multidegree(rng, nvars - 1, 3) + (0,), random_gauss(rng)
+    pairs = re2(nvars, zero[1:] + (1,))
+    if J != zero:
+        pairs.update({(J, zero): c, (zero, J): c.conjugate()})
+    r = random_real_form(rng, nvars, 4, 5) + hermitian(nvars, 5, pairs)
+    got = monomial_curve_search(r, max_exponent, max_coeff_degree)
+    assert got == reference_curve_search(r, max_exponent, max_coeff_degree)
+
+
+def test_search_does_each_curves_work_once(monkeypatch):
+    """One search restricts no curve twice at full precision, and sums each
+    (curve, component, degree) probe slice at most once, although exponent
+    tuples reach the same curves."""
+    import germforge.typeengine as te
+
+    full, slices = [], []
+    restrict, summed = HermitianForm.restrict_to_curve, te.probe_slice_terms
+
+    def key(components):
+        return tuple(tuple(sorted(c.coeffs.items())) for c in components)
+
+    def counted_restrict(self, curve, upto=None, base=None):
+        if upto is None:
+            full.append(key(curve.components))
+        return restrict(self, curve, upto, base)
+
+    def counted_slice(*args):  # (table or pairs, base, ..., e, m)
+        slices.append((key(args[1].components), id(args[0]), args[-2]))
+        return summed(*args)
+
+    monkeypatch.setattr(HermitianForm, "restrict_to_curve", counted_restrict)
+    monkeypatch.setattr(te, "probe_slice_terms", counted_slice)
+    results = monomial_curve_search(witness_form(precision=20), 3, 2)
+    assert results[0][1].is_flagged
+    assert len({key(c.components) for c, _ in results}) < len(results)  # tuples share curves
+    assert len(full) == len(set(full))
+    assert len(slices) == len(set(slices))
+
+
 small_gauss = st.builds(
     GaussianRational,
     st.fractions(-3, 3, max_denominator=4),
@@ -298,7 +349,8 @@ def test_probe_slice_terms_give_the_perturbed_slice(seed, c, i, e, delta, cancel
     probe = c.with_component(i, comp + uni(c.precision, {e: delta}))
     m = min(m, r.restrict_to_curve(c).precision)
     got = _degree_slice(r.restrict_to_curve(c, upto=m), m)
-    for (k, l), terms in probe_slice_terms(component_pairs(r)[i], CurvePowers(c, m), i, e, m).items():
+    base = CurvePowers(c, m)
+    for (k, l), terms in probe_slice_terms(probe_table(component_pairs(r)[i], base, i), base, e, m).items():
         w = delta**k * delta.conjugate() ** l
         for key, v in terms.items():
             got[key] = got.get(key, ZERO) + w * v
@@ -316,13 +368,18 @@ def test_probe_slice_terms_give_the_perturbed_slice(seed, c, i, e, delta, cancel
 def test_probe_through_the_zero_curve_is_read_like_any_other():
     """Adding 1 * t to the curve (0, -t) gives the zero curve at the probe
     point delta = 1; its slice is read from the terms (it is zero) instead of
-    aborting the search as a restriction along a constant curve would."""
+    aborting the search as a restriction along a constant curve would, and
+    the search skips that candidate."""
     r = hermitian(2, 4, {**re2(2, (0, 1)), ((0, 1), (0, 1)): ONE})
     c = FormalCurve([uni(6, {}), uni(6, {1: -ONE})])
     m = r.restrict_to_curve(c).order()
     v0 = _degree_slice(r.restrict_to_curve(c), m)
     assert (m, v0) == (1, {(1, 0): -ONE, (0, 1): -ONE})
-    assert _try_kill_lowest(r, c.vanishing_order(), 1, 1, m, v0, CurvePowers(c, m), component_pairs(r)[1]) == ONE
+    base = CurvePowers(c, m)
+    terms = probe_slice_terms(probe_table(component_pairs(r)[1], base, 1), base, 1, m)
+    assert _solve_affine(terms, v0) == ONE
+    records = _CurveRecords(r)
+    assert records.kill_lowest(records.record(c), 1, 1) is None  # a constant candidate is skipped
 
 
 def test_search_builds_one_fraction_per_result(monkeypatch):
