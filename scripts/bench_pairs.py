@@ -11,10 +11,12 @@ the medians, and in how many pairs the working tree was better (in the
 direction BENCHMARK.json gives the metric).  After the table it prints, for
 each end-to-end metric, the ratio of the change's median to the parent's
 and flags every metric that is worse than the parent's by more than its
-BENCHMARK.json ``bound``, and a larger share of failed jobs, then each
-side's median and maximum total wall time of one run.py process, from start
-to exit: set-up probes, timed loop and output checks.  The last line is the
-runs' values as JSON.
+BENCHMARK.json ``bound``, and a larger share of failed jobs.  Next to
+``peak_rss_mb`` it prints each side's median number of attempted jobs, since
+run.py keeps every job's record and the metric grows with the job count.
+Then it prints each side's median and maximum total wall time of one run.py
+process, from start to exit: set-up probes, timed loop and output checks.
+The last line is the runs' values as JSON, attempted jobs included.
 
 Usage:
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload algebra \\
@@ -121,6 +123,7 @@ def main(argv=None) -> int:
         pcol, ccol = f"{pm:.4g} [{p1:.4g}, {p3:.4g}]", f"{cm:.4g} [{c1:.4g}, {c3:.4g}]"
         print(f"{name:34} {pcol:>30} {ccol:>30} {rel:+8.1%} {wins:>4}/{len(p)}")
         summary[name] = {"parent": p, "change": c, "wins": wins}
+    attempted = {side: [r["attempted"] for r in runs[side]] for side in runs}
     print(f"\n{'end-to-end metric':34} {'change/parent':>13} {'bound':>7}")
     for row in spec["end_to_end"]:
         name = row["name"]
@@ -130,8 +133,11 @@ def main(argv=None) -> int:
         ratio = cm / pm if pm else (1.0 if cm == pm else float("inf"))
         worse = ratio - 1 if row["better"] == "lower" else 1 - ratio
         flag = "WORSE BEYOND BOUND" if worse > row["bound"] else "ok"
+        if name == "peak_rss_mb":
+            flag += "  (attempted jobs, median: {:g} -> {:g})".format(
+                *(statistics.median(attempted[side]) for side in ("parent", "change")))
         print(f"{name:34} {ratio:13.3f} {row['bound']:7.2f}  {flag}")
-    failed = {side: sum(r["failed"] for r in runs[side]) / max(1, sum(r["attempted"] for r in runs[side]))
+    failed = {side: sum(r["failed"] for r in runs[side]) / max(1, sum(attempted[side]))
               for side in runs}
     flag = "WORSE" if failed["change"] > failed["parent"] else "ok"
     print(f"{'failed share':34} {failed['parent']:.4g} -> {failed['change']:.4g}  {flag}")
@@ -139,6 +145,7 @@ def main(argv=None) -> int:
         print(f"run wall time, {side}: median {statistics.median(walls[side]):.1f} s, "
               f"max {max(walls[side]):.1f} s")
     summary["run_wall_s"] = walls
+    summary["attempted"] = attempted
     print(json.dumps(summary))
     return 0
 

@@ -122,6 +122,7 @@ def run_job(job: argparse.Namespace) -> int:
     if job.command == "search":
         _need(job, 1, "a hermitian form file")
         r = formats.parse_hermitian(_read(job.inputs[0]))
+        check_base_point(r)
         results = monomial_curve_search(r, job.A, job.d)
         if results:
             print(formats.format_search(results, 12))

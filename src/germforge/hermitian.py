@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .coeffs import GaussianRational, ONE, ZERO, as_gauss
+from .coeffs import GaussianRational, ZERO, as_gauss
 from .errors import DimensionMismatch, PrecisionError, RealityError
 from .series import (
     CurvePowers,
@@ -161,19 +161,11 @@ class HermitianForm:
     def agrees_with(self, other: "HermitianForm", k: int) -> bool:
         return self.jet(k).coeffs == other.jet(k).coeffs
 
-    def restrict_to_curve(
-        self, curve: FormalCurve, upto: Optional[int] = None, base: Optional[CurvePowers] = None
-    ) -> "HermitianForm":
+    def restrict_to_curve(self, curve: FormalCurve) -> "HermitianForm":
         """Pull the form back along a curve: a one-variable form in (t, tbar)
-        whose (a, b) entry multiplies t^a tbar^b.
-
-        Output precision is min(precision * nu(curve), curve.precision),
-        lowered to at most ``upto`` when given; every coefficient through the
-        output precision is the full restriction's.  ``base`` is the power
-        table of a curve sharing components with this one (see
-        :class:`CurvePowers`).  Along a monomial curve (at most one term per
-        component, c_i t^(a_i)) the image of z^J is the one term
-        prod c_i^(J_i) t^(a.J), computed without series products.
+        whose (a, b) entry multiplies t^a tbar^b, at precision
+        min(precision * nu(curve), curve.precision).  Each image curve^J is
+        read from one :class:`CurvePowers` table at that precision.
         """
         if self.nvars != curve.dim:
             raise DimensionMismatch(
@@ -185,39 +177,13 @@ class HermitianForm:
 
             raise ConstantCurveError("cannot pull back along a constant curve")
         prec = min(self.precision * nu, curve.precision)
-        if upto is not None:
-            prec = min(prec, upto)
-        if all(len(c.coeffs) <= 1 for c in curve.components):
-            monos = [next(iter(c.coeffs.items()), None) for c in curve.components]
-            images: dict = {}
-
-            def image(J) -> dict:
-                got = images.get(J)
-                if got is None:
-                    deg, coef = 0, ONE
-                    for x, mono in zip(J, monos):
-                        if not x:
-                            continue
-                        if mono is None:
-                            got = {}  # J meets a zero component
-                            break
-                        (d,), ci = mono
-                        deg, coef = deg + x * d, coef if ci == ONE else coef * ci ** x
-                    else:
-                        got = {(deg,): coef}  # a degree beyond prec is skipped below
-                    images[J] = got
-                return got
-        else:
-            powers = CurvePowers(curve, prec, base)
-
-            def image(J) -> dict:
-                return powers.image(J).coeffs
+        powers = CurvePowers(curve, prec)
         out: Dict[PairKey, GaussianRational] = {}
         for J, K, c in self.full_items():
             if nu * (sum(J) + sum(K)) > prec:
                 continue  # every term of this pair lies beyond the precision
-            AJ = image(J)
-            AK = image(K)
+            AJ = powers.image(J).coeffs
+            AK = powers.image(K).coeffs
             if not AJ or not AK:
                 continue
             for (a,), ca in AJ.items():

@@ -404,29 +404,26 @@ class FormalCurve:
 
 
 class CurvePowers:
-    """Powers of the components of a curve at one precision, and the images
-    curve^J of monomials built from them, cached per J.
+    """The images curve^J of monomials along a curve at one precision,
+    cached per J; a table lives only as long as the call that made it.
 
-    A table lives only as long as the call that made it.  Given the table
-    ``base`` of another curve at the same precision, the powers of every
-    component the two curves share are read from (and added to) the base
-    table, and so are the images of monomials in those components alone."""
+    When every component has at most one term through the precision,
+    c_i t^(a_i), curve^J is the one term prod c_i^(J_i) t^(a.J), computed
+    without series products; otherwise it is the product of the cached
+    component powers."""
 
-    __slots__ = ("precision", "components", "_powers", "_images", "_base")
+    __slots__ = ("precision", "components", "_monos", "_powers", "_images")
 
-    def __init__(
-        self, curve: FormalCurve, precision: int, base: Optional["CurvePowers"] = None
-    ):
+    def __init__(self, curve: FormalCurve, precision: int):
         self.precision = precision
-        self.components = [c.with_precision(precision) for c in curve.components]
-        if base is not None and base.precision != precision:
-            base = None
-        self._base = base
-        self._powers = [
-            base._powers[i] if base is not None and c == base.components[i]
-            else {0: TruncSeries.constant(1, precision, 1), 1: c}
-            for i, c in enumerate(self.components)
-        ]
+        self.components = comps = [c.with_precision(precision) for c in curve.components]
+        self._monos = self._powers = None
+        if all(len(c.coeffs) <= 1 for c in comps):
+            # a zero component reads as one term past the precision
+            self._monos = [next(iter(c.coeffs.items()), ((precision + 1,), ONE)) for c in comps]
+        else:
+            one = TruncSeries.constant(1, precision, 1)
+            self._powers = [{0: one, 1: c} for c in comps]
         self._images: dict = {}
 
     def power(self, i: int, e: int) -> TruncSeries:
@@ -441,14 +438,16 @@ class CurvePowers:
         return got
 
     def image(self, J: Multidegree) -> TruncSeries:
-        """curve^J, the product of the component powers, at the precision."""
+        """curve^J at the precision."""
         got = self._images.get(J)
         if got is None:
-            base = self._base
-            if base is not None and all(
-                self._powers[i] is base._powers[i] for i, e in enumerate(J) if e
-            ):
-                got = base.image(J)
+            if self._monos is not None:
+                deg, coef = 0, ONE
+                for x, ((d,), ci) in zip(J, self._monos):
+                    if x:
+                        deg, coef = deg + x * d, coef if ci == ONE else coef * ci ** x
+                terms = {(deg,): coef} if deg <= self.precision else {}
+                got = TruncSeries._trusted(1, self.precision, terms)
             else:
                 for i, e in enumerate(J):
                     if e:

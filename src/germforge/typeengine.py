@@ -322,9 +322,10 @@ class _CurveRecords:
         v(delta) = v0 + sum P_kl delta^k conj(delta)^l
         (:func:`probe_slice_terms`); delta is solved exactly only when that
         sum is affine in delta (:func:`_solve_affine`), and the candidate is
-        kept only when its restriction through degree m vanishes.  When the
-        perturbation lowers nu to e and r.precision * e < m, no probe curve's
-        restriction reaches degree m, and the probe fails."""
+        kept only when the full restriction in its record vanishes through
+        degree m.  When the perturbation lowers nu to e and
+        r.precision * e < m, no probe curve's restriction reaches degree m,
+        and the probe fails."""
         if (i, e) not in rec.outcomes:
             rec.outcomes[(i, e)] = self._probe(rec, i, e)
         return rec.outcomes[(i, e)]
@@ -347,9 +348,10 @@ class _CurveRecords:
             return None
         comp = curve.components[i] + TruncSeries.monomial(1, curve.precision, (e,), delta)
         cand = curve.with_component(i, comp)
-        if cand.is_constant() or r.restrict_to_curve(cand, upto=m, base=base).order() is not None:
-            return None  # no actual progress
-        return self.record(cand)
+        if cand.is_constant():
+            return None
+        got = self.record(cand)
+        return got if got.m is None or got.m > m else None  # else no actual progress
 
 
 def _refine_curve(

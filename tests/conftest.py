@@ -336,7 +336,10 @@ def reference_curve_search(r: HermitianForm, max_exponent: int, max_coeff_degree
                 if delta is None:
                     continue
                 cand = curve.with_component(i, curve.components[i] + uni(prec, {e: delta}))
-                if cand.is_constant() or r.restrict_to_curve(cand, upto=m, base=base).order() is not None:
+                if cand.is_constant():
+                    continue
+                full = r.restrict_to_curve(cand)
+                if full.jet(min(full.precision, m)).order() is not None:
                     continue
                 curve, used = cand, used + 1
                 break

@@ -252,6 +252,16 @@ def test_cli_ratio_rejects_form_off_the_hypersurface(workdir, capsys):
     assert "ratio" not in captured.out
 
 
+def test_cli_search_rejects_form_off_the_hypersurface(workdir, capsys):
+    off = workdir / "off.germ"
+    off.write_text("vars 2; N=10;\n+ 1 + 1 z1 zbar1;\n")
+    code = main(["search", str(off)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "must vanish at the base point" in captured.err
+    assert "ratio" not in captured.out
+
+
 def test_cli_missing_file(workdir, capsys):
     code = main(["ratio", str(workdir / "nope.germ"), str(workdir / "curve.germ")])
     assert code == 1

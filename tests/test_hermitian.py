@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,20 +165,6 @@ def test_restrict_to_curve_matches_naive_expansion(seed, data):
     assert HermitianForm(1, got.precision, got.full_map()) == got
 
 
-@given(st.integers(0, 10**6), small_curves(), st.integers(0, 24))
-@settings(max_examples=80, deadline=None)
-def test_bounded_restriction_is_the_full_restriction_truncated(seed, c, k):
-    r = random_real_form(random.Random(seed), 2, 4, 6)
-    full = r.restrict_to_curve(c)
-    got = r.restrict_to_curve(c, upto=k)
-    assert got.precision == min(full.precision, k)
-    assert got == full.jet(got.precision)
-    expected = oracle_curve_pullback(r.full_map(), [dict(x.coeffs) for x in c.components])
-    assert got.full_map() == {
-        ((a,), (b,)): v for (a, b), v in expected.items() if a + b <= got.precision
-    }
-
-
 small_gauss = st.builds(
     g, st.fractions(-3, 3, max_denominator=3), st.fractions(-3, 3, max_denominator=3)
 )
@@ -186,42 +173,35 @@ small_gauss = st.builds(
 @given(
     st.integers(0, 10**6),
     st.lists(st.tuples(st.integers(0, 3), small_gauss), min_size=2, max_size=3),
-    st.one_of(st.none(), st.integers(0, 20)),
+    st.integers(0, 18),
 )
 @settings(max_examples=80, deadline=None)
-def test_monomial_curves_restrict_like_the_series_loop(seed, comps, upto):
-    """Along a monomial curve (zero components allowed) the restriction
-    reads each pair's one term; the series loop, forced by a term of degree
-    P beyond the output precision that the power table cuts off again, gives
-    the same dict in the same insertion order."""
+def test_monomial_curves_restrict_like_the_series_loop(seed, comps, k):
+    """Along a monomial curve (zero components allowed, and a term of degree
+    P beyond every precision used) each image curve^J is one term read
+    without series products: the product of the component powers, in the
+    same dict order.  The restriction reading those images is the dict
+    oracle's, and the term of degree P changes nothing."""
     r = random_real_form(random.Random(seed), len(comps), 4, 6)
     P = 6 * 3 + 1  # above precision * nu for every nu <= 3
     c = FormalCurve([uni(P, {a: x} if a and x else {}) for a, x in comps])
     if c.is_constant():
         return
-    got = r.restrict_to_curve(c, upto=upto)
     j = next(j for j, x in enumerate(c.components) if x)
     padded = c.with_component(j, c.components[j] + uni(P, {P: g(1, 1)}))
-    loop = r.restrict_to_curve(padded, upto=got.precision)
-    assert got.precision == loop.precision < P
-    assert list(got.coeffs.items()) == list(loop.coeffs.items())
+    powers = CurvePowers(padded, k)
+    with mock.patch.object(TruncSeries, "__mul__", side_effect=AssertionError("a series product")):
+        images = {E: powers.image(E) for J, K, _ in r.full_items() for E in (J, K)}
+    for E, got in images.items():
+        prod = TruncSeries.constant(1, k, 1)
+        for comp, x in zip(powers.components, E):
+            prod = prod * comp ** x
+        assert got == prod
+        assert list(got.coeffs.items()) == list(prod.coeffs.items())
+    got = r.restrict_to_curve(c)
+    assert got.precision < P
+    assert list(r.restrict_to_curve(padded).coeffs.items()) == list(got.coeffs.items())
     expected = oracle_curve_pullback(r.full_map(), [dict(x.coeffs) for x in c.components])
     assert got.full_map() == {
         ((a,), (b,)): v for (a, b), v in expected.items() if a + b <= got.precision
     }
-
-
-@given(st.integers(0, 10**6), small_curves(), st.integers(1, 4), st.integers(0, 24))
-@settings(max_examples=60, deadline=None)
-def test_restriction_reading_a_base_table_is_unchanged(seed, c, e, k):
-    """Probes share the power table of the curve they perturb: the tables of
-    the two curves hold the powers of the unchanged component once."""
-    r = random_real_form(random.Random(seed), 2, 4, 6)
-    probe = c.with_component(0, c.components[0] + uni(c.precision, {e: g(1, 1)}))
-    if probe.is_constant():
-        return
-    prec = r.restrict_to_curve(probe, upto=k).precision
-    base = CurvePowers(c, prec)
-    along_c = r.restrict_to_curve(c, upto=prec, base=base)
-    assert along_c == r.restrict_to_curve(c, upto=prec)
-    assert r.restrict_to_curve(probe, upto=k, base=base) == r.restrict_to_curve(probe, upto=k)

@@ -417,8 +417,28 @@ def test_pullback_is_ring_homomorphism(a, b):
     assert left.agrees_with(right, k)
 
 
-@given(small_series(), small_curves())
-@settings(max_examples=80, deadline=None)
+@st.composite
+def monomial_curves(draw, dim=2):
+    """Curves in C^dim whose components are zero or one term c t^a, c in
+    Q(i), not all zero; one component may carry a term of degree 21, past
+    every pullback precision of a precision-5 series along them."""
+    P = 21
+    comps = [uni(P, draw(st.dictionaries(
+        st.integers(1, 4),
+        st.builds(g, st.fractions(-3, 3, max_denominator=3), st.fractions(-3, 3, max_denominator=3)),
+        max_size=1,
+    ))) for _ in range(dim)]
+    curve = FormalCurve(comps)
+    if curve.is_constant():
+        curve = curve.with_component(0, uni(P, {1: g(1, -1)}))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, dim - 1))
+        curve = curve.with_component(i, curve.components[i] + uni(P, {P: g(1, 1)}))
+    return curve
+
+
+@given(small_series(), st.one_of(small_curves(), monomial_curves()))
+@settings(max_examples=120, deadline=None)
 def test_pullback_matches_the_curve_pullback_oracle(s, c):
     got = pullback(s, c)
     assert got.precision == min(s.precision * c.vanishing_order(), c.precision)
