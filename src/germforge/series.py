@@ -409,16 +409,16 @@ class CurvePowers:
 
     When every component has at most one term through the precision,
     c_i t^(a_i), curve^J is the one term prod c_i^(J_i) t^(a.J), computed
-    without series products; otherwise it is the product of the cached
-    component powers."""
+    without series products; otherwise, or when ``single_terms`` is false,
+    it is the product of the cached component powers."""
 
     __slots__ = ("precision", "components", "_monos", "_powers", "_images")
 
-    def __init__(self, curve: FormalCurve, precision: int):
+    def __init__(self, curve: FormalCurve, precision: int, single_terms: bool = True):
         self.precision = precision
         self.components = comps = [c.with_precision(precision) for c in curve.components]
         self._monos = self._powers = None
-        if all(len(c.coeffs) <= 1 for c in comps):
+        if single_terms and all(len(c.coeffs) <= 1 for c in comps):
             # a zero component reads as one term past the precision
             self._monos = [next(iter(c.coeffs.items()), ((precision + 1,), ONE)) for c in comps]
         else:
@@ -426,11 +426,11 @@ class CurvePowers:
             self._powers = [{0: one, 1: c} for c in comps]
         self._images: dict = {}
 
-    def power(self, i: int, e: int) -> TruncSeries:
+    def _power(self, i: int, e: int) -> TruncSeries:
         cache = self._powers[i]
         got = cache.get(e)
         if got is None:
-            half = self.power(i, e // 2)
+            half = self._power(i, e // 2)
             got = half * half
             if e & 1:
                 got = got * self.components[i]
@@ -451,7 +451,7 @@ class CurvePowers:
             else:
                 for i, e in enumerate(J):
                     if e:
-                        p = self.power(i, e)
+                        p = self._power(i, e)
                         got = p if got is None or not p else got * p
                         if not got:
                             break
@@ -466,7 +466,9 @@ def pullback(s: TruncSeries, curve: FormalCurve) -> TruncSeries:
 
     The output precision is min(s.precision * nu(curve), curve.precision):
     a coefficient is reported only when no unknown term of either input can
-    reach it.
+    reach it.  Every image curve^J is a product of component powers, also
+    along a monomial curve: the witness check's pullbacks are the series
+    products that the pipeline-witness benchmark measures.
     """
     if s.nvars != curve.dim:
         raise DimensionMismatch(
@@ -476,7 +478,7 @@ def pullback(s: TruncSeries, curve: FormalCurve) -> TruncSeries:
     if nu is None:
         raise ConstantCurveError("pullback along a constant-to-precision curve")
     prec = min(s.precision * nu, curve.precision)
-    powers = CurvePowers(curve, prec)
+    powers = CurvePowers(curve, prec, single_terms=False)
     out: dict = {}
     for J, c in s.coeffs.items():
         if nu * sum(J) > prec:

@@ -179,9 +179,10 @@ small_gauss = st.builds(
 def test_monomial_curves_restrict_like_the_series_loop(seed, comps, k):
     """Along a monomial curve (zero components allowed, and a term of degree
     P beyond every precision used) each image curve^J is one term read
-    without series products: the product of the component powers, in the
-    same dict order.  The restriction reading those images is the dict
-    oracle's, and the term of degree P changes nothing."""
+    without series products: the image of a table built from products of
+    the component powers, in the same dict order.  The restriction reading
+    those images is the dict oracle's, and the term of degree P changes
+    nothing."""
     r = random_real_form(random.Random(seed), len(comps), 4, 6)
     P = 6 * 3 + 1  # above precision * nu for every nu <= 3
     c = FormalCurve([uni(P, {a: x} if a and x else {}) for a, x in comps])
@@ -192,10 +193,9 @@ def test_monomial_curves_restrict_like_the_series_loop(seed, comps, k):
     powers = CurvePowers(padded, k)
     with mock.patch.object(TruncSeries, "__mul__", side_effect=AssertionError("a series product")):
         images = {E: powers.image(E) for J, K, _ in r.full_items() for E in (J, K)}
+    products = CurvePowers(padded, k, single_terms=False)
     for E, got in images.items():
-        prod = TruncSeries.constant(1, k, 1)
-        for comp, x in zip(powers.components, E):
-            prod = prod * comp ** x
+        prod = products.image(E)
         assert got == prod
         assert list(got.coeffs.items()) == list(prod.coeffs.items())
     got = r.restrict_to_curve(c)
