@@ -16,7 +16,12 @@ BENCHMARK.json ``bound``, and a larger share of failed jobs.  Next to
 run.py keeps every job's record and the metric grows with the job count.
 Then it prints each side's median and maximum total wall time of one run.py
 process, from start to exit: set-up probes, timed loop and output checks.
-The last line is the runs' values as JSON, attempted jobs included.
+With ``--trace 1`` it then prints each side's median core share, the
+(coeffs + series + hermitian + typeengine) self time over the traced job
+time, which ``perfbench/tests/test_perfbench_trace.py`` holds at >= 0.9 on
+the pipeline workloads, and flags a pipeline median below that floor.
+The last line is the runs' values as JSON, attempted jobs (and core shares)
+included.
 
 Usage:
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload algebra \\
@@ -38,6 +43,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CORE_LAYERS = ("coeffs", "series", "hermitian", "typeengine")
+CORE_SHARE_FLOOR = 0.9
 
 
 def export_ref(ref: str) -> Path:
@@ -64,6 +71,13 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"perfbench failed in {tree} (exit {proc.returncode}):\n{proc.stderr}")
     return json.loads(lines[-1]), wall
+
+
+def core_share(result: dict) -> float:
+    """The core layers' self time over the traced job time, of one run."""
+    m = {k: v["value"] for k, v in result["metrics"].items()}
+    job = m["trace.job_s"]
+    return sum(m[f"{layer}.self_s"] for layer in CORE_LAYERS) / job if job else 0.0
 
 
 def quartiles(xs: list) -> tuple:
@@ -145,6 +159,14 @@ def main(argv=None) -> int:
         print(f"run wall time, {side}: median {statistics.median(walls[side]):.1f} s, "
               f"max {max(walls[side]):.1f} s")
     summary["run_wall_s"] = walls
+    if args.trace:
+        shares = {side: [core_share(r) for r in runs[side]] for side in runs}
+        for side, xs in shares.items():
+            share = statistics.median(xs)
+            low = args.workload.startswith("pipeline") and share < CORE_SHARE_FLOOR
+            print(f"core share, {side}: median {share:.3f}"
+                  + (f"  BELOW {CORE_SHARE_FLOOR}" if low else ""))
+        summary["core_share"] = shares
     summary["attempted"] = attempted
     print(json.dumps(summary))
     return 0

@@ -4,10 +4,13 @@ forms, curves, ideals and certificates.
 Shared grammar
 --------------
 
-Files start with a header ``vars <n>; N=<k>;`` and may declare a base point
-``base <c_1> .. <c_n>;`` which the loader translates to the origin (the
-listed terms are read as the complete polynomial through N, re-expanded and
-re-truncated).  ``#`` starts a comment.  Terms look like::
+The grammar is ASCII-only: any other character outside a comment is an
+unexpected character.  Files start with a header ``vars <n>; N=<k>;`` and
+may declare a base point ``base <c_1> .. <c_n>;``, any point p of Q(i)^n,
+which the loader translates to the origin: the listed terms are read as the
+complete polynomial through N, re-expanded in w = z - p and re-truncated, so
+a zbar factor re-expands around the conjugate of p.  ``#`` starts a
+comment.  Terms look like::
 
     + (3/4+1/2i)*z1^2*z2 - 2 zbar1 z1 + 1/2 z2^3
 
@@ -28,6 +31,7 @@ the Weierstrass data of a prime ideal in strictly regular coordinates.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -246,65 +250,54 @@ def extract_block(text: str, name: str) -> Optional[str]:
 
 
 class _Tok:
-    __slots__ = ("kind", "value", "line", "col")
+    __slots__ = ("kind", "value", "line", "col", "var")
 
-    def __init__(self, kind, value, line, col):
+    def __init__(self, kind, value, line, col, var=None):
         self.kind = kind
         self.value = value
         self.line = line
         self.col = col
+        self.var = var  # (conjugated, 0-based index) for t, z<j> and zbar<j>
 
     def __repr__(self):
         return f"{self.kind}({self.value})"
 
 
-_SYMBOLS = set("+-*/^()=;{},")
+# One lexeme per match, ASCII only.  A comment takes no columns, and a
+# character that starts no lexeme is an unexpected character.
+_LEXEME = re.compile(
+    r"(?P<nl>\n)|[ \t\r]+|(?P<comment>#[^\n]*)|(?P<num>[0-9]+)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[-+*/^()=;{},])|(?P<bad>.)",
+    re.S,
+)
+_VARIABLE = re.compile(r"z(bar)?([0-9]+)")
+
+
+def _variable(word: str) -> Optional[Tuple[bool, int]]:
+    if word == "t":
+        return False, 0
+    m = _VARIABLE.fullmatch(word)
+    return (bool(m[1]), int(m[2]) - 1) if m else None
 
 
 def _tokenize(text: str) -> List[_Tok]:
     toks: List[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("NUM", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            toks.append(_Tok(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("EOF", None, line, col))
+    line, line_start = 1, 0
+    kind = col = None
+    for m in _LEXEME.finditer(text):
+        kind, lexeme, col = m.lastgroup, m[0], m.start() - line_start + 1
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
+        elif kind == "num":
+            toks.append(_Tok("NUM", int(lexeme), line, col))
+        elif kind == "word":
+            toks.append(_Tok("IDENT", lexeme, line, col, _variable(lexeme)))
+        elif kind == "sym":
+            toks.append(_Tok(lexeme, lexeme, line, col))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+    eof_col = col if kind == "comment" else len(text) - line_start + 1
+    toks.append(_Tok("EOF", None, line, eof_col))
     return toks
 
 
@@ -313,8 +306,8 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> _Tok:
+        return self.toks[self.pos]
 
     def next(self) -> _Tok:
         t = self.toks[self.pos]
@@ -388,39 +381,6 @@ def _try_parse_coefficient(P: _Parser) -> Optional[GaussianRational]:
     return GaussianRational(0, 1) if P.accept("IDENT", "i") else None
 
 
-def _is_variable_ident(name: str) -> bool:
-    if name == "t":
-        return True
-    for prefix in ("zbar", "z"):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            return True
-    return False
-
-
-def _parse_factor(P: _Parser, nvars: int) -> Tuple[bool, int, int]:
-    """(conjugated, variable index 0-based, exponent)"""
-    t = P.expect("IDENT", what="a variable")
-    name = t.value
-    if name == "t":
-        if nvars != 1:
-            raise ParseError("variable t only appears in univariate series", t.line, t.col)
-        bar, idx = False, 0
-    elif name.startswith("zbar") and name[4:].isdigit():
-        bar, idx = True, int(name[4:]) - 1
-    elif name.startswith("z") and name[1:].isdigit():
-        bar, idx = False, int(name[1:]) - 1
-    else:
-        raise ParseError(f"unknown variable {name!r}", t.line, t.col)
-    if not 0 <= idx < nvars:
-        raise ParseError(
-            f"variable index {idx + 1} outside 1..{nvars}", t.line, t.col
-        )
-    exp = 1
-    if P.accept("^"):
-        exp = P.expect("NUM", what="an exponent").value
-    return bar, idx, exp
-
-
 def _parse_terms(P: _Parser, nvars: int):
     """List of (coefficient, z-exponents, zbar-exponents); stops before ';',
     '}', EOF or a statement keyword."""
@@ -430,7 +390,7 @@ def _parse_terms(P: _Parser, nvars: int):
         t = P.peek()
         if t.kind in (";", "}", "EOF"):
             break
-        if t.kind == "IDENT" and not _is_variable_ident(t.value) and t.value != "i":
+        if t.kind == "IDENT" and t.var is None and t.value != "i":
             break
         sign = 1
         if P.accept("-"):
@@ -446,15 +406,17 @@ def _parse_terms(P: _Parser, nvars: int):
         while True:
             P.accept("*")
             t = P.peek()
-            if t.kind == "IDENT" and _is_variable_ident(t.value):
-                bar, idx, exp = _parse_factor(P, nvars)
-                if bar:
-                    K[idx] += exp
-                else:
-                    J[idx] += exp
-                saw_factor = True
-            else:
+            if t.var is None:
                 break
+            P.next()
+            bar, idx = t.var
+            if t.value == "t" and nvars != 1:
+                raise ParseError("variable t only appears in univariate series", t.line, t.col)
+            if not 0 <= idx < nvars:
+                raise ParseError(f"variable index {idx + 1} outside 1..{nvars}", t.line, t.col)
+            exp = P.expect("NUM", what="an exponent").value if P.accept("^") else 1
+            (K if bar else J)[idx] += exp
+            saw_factor = True
         if coeff is None and not saw_factor:
             P.error("empty term")
         c = coeff if coeff is not None else ONE
@@ -515,22 +477,38 @@ def _shifted_monomial(
     return out
 
 
+def _expand_terms(terms, nvars: int, precision: int, base) -> Dict[tuple, GaussianRational]:
+    """{(J, K): c}: the sum of c (z+p)^J conj((z+p)^K) over the parsed terms,
+    cut at total degree ``precision``; without a base point, the terms as read."""
+    out: Dict[tuple, GaussianRational] = {}
+    for c, J, K in terms:
+        if base is None:
+            expanded = [((J, K), c)]
+        else:
+            zs = _shifted_monomial(nvars, precision, J, base).coeffs
+            zbars = _shifted_monomial(nvars, precision, K, base).coeffs
+            expanded = [((Jz, Kz), c * cz * ck.conjugate())
+                        for Jz, cz in zs.items() for Kz, ck in zbars.items()
+                        if sum(Jz) + sum(Kz) <= precision]
+        for key, v in expanded:
+            v += out.get(key, ZERO)
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+    return out
+
+
 def _holomorphic_series(
     terms, nvars: int, precision: int, where: _Tok, what: str, base=None
 ) -> TruncSeries:
     """Sum parsed terms into one series, each monomial re-expanded around
     ``base`` when one is given; a zbar factor is a ParseError at ``where``."""
-    out: Dict[tuple, GaussianRational] = {}
-    for c, J, K in terms:
-        if any(K):
-            raise ParseError(f"{what} are holomorphic: zbar factors are not allowed",
-                             where.line, where.col)
-        if base is None:
-            out[J] = out.get(J, ZERO) + c
-        else:
-            for E, v in _shifted_monomial(nvars, precision, J, base).coeffs.items():
-                out[E] = out.get(E, ZERO) + c * v
-    return TruncSeries(nvars, precision, out)
+    if any(any(K) for _, _, K in terms):
+        raise ParseError(f"{what} are holomorphic: zbar factors are not allowed",
+                         where.line, where.col)
+    expanded = _expand_terms(terms, nvars, precision, base)
+    return TruncSeries(nvars, precision, {J: c for (J, _), c in expanded.items()})
 
 
 def parse_series(text: str) -> TruncSeries:
@@ -554,29 +532,7 @@ def parse_hermitian(text: str) -> "HermitianForm":
     terms = _parse_terms(P, nvars)
     P.accept(";")
     P.expect("EOF", what="end of file")
-    coeffs: Dict[tuple, GaussianRational] = {}
-
-    def bump(J, K, c):
-        key = (J, K)
-        v = coeffs.get(key, ZERO) + c
-        if v:
-            coeffs[key] = v
-        else:
-            coeffs.pop(key, None)
-
-    if base is None:
-        for c, J, K in terms:
-            bump(J, K, c)
-    else:
-        conj_base = [b.conjugate() for b in base]
-        for c, J, K in terms:
-            zs = _shifted_monomial(nvars, precision, J, base)
-            zbars = _shifted_monomial(nvars, precision, K, conj_base)
-            for Jz, cz in zs.coeffs.items():
-                for Kz, ck in zbars.coeffs.items():
-                    if sum(Jz) + sum(Kz) <= precision:
-                        bump(Jz, Kz, c * cz * ck.conjugate())
-    return HermitianForm(nvars, precision, coeffs)
+    return HermitianForm(nvars, precision, _expand_terms(terms, nvars, precision, base))
 
 
 def parse_curve(text: str) -> FormalCurve:
@@ -587,9 +543,9 @@ def parse_curve(text: str) -> FormalCurve:
     comps: Dict[int, TruncSeries] = {}
     while P.peek().kind != "EOF":
         t = P.expect("IDENT", what="a component statement like 'z1 = ...;'")
-        if not (t.value.startswith("z") and t.value[1:].isdigit()):
+        if t.var is None or t.var[0] or t.value == "t":
             raise ParseError(f"expected a component name, found {t.value!r}", t.line, t.col)
-        idx = int(t.value[1:]) - 1
+        idx = t.var[1]
         if not 0 <= idx < nvars:
             raise ParseError(f"component index outside 1..{nvars}", t.line, t.col)
         if idx in comps:

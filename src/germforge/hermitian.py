@@ -220,10 +220,6 @@ class Decomposition:
     fs: List[Tuple[Multidegree, TruncSeries]]
     gs: List[Tuple[Multidegree, TruncSeries]]
 
-    @property
-    def families(self) -> List[Multidegree]:
-        return [J for J, _ in self.fs]
-
 
 def decompose(r: HermitianForm, k: int) -> Decomposition:
     """Split r into holomorphic content plus squared-norm families so that

@@ -34,6 +34,8 @@ from .series import (
     pullback,
 )
 
+UNITARY_TOL = 1e-10  # residual bound of a floating unitary block
+
 
 # ---------------------------------------------------------------------------
 # ratios and witness checks
@@ -433,12 +435,6 @@ class UnitaryBlock:
         """(conversion, one, zero) of the entry field."""
         return (as_gauss, ONE, ZERO) if self.is_exact else (complex, 1.0 + 0j, 0j)
 
-    def entry(self, i: int, j: int):
-        if i < self.size and j < self.size:
-            return self.entries[i][j]
-        _, one, zero = self._field()
-        return one if i == j else zero
-
     def adjoint(self) -> "UnitaryBlock":
         rows = [[c.conjugate() for c in col] for col in zip(*self.entries)]
         return UnitaryBlock(self.size, rows, self.mode, self.tolerance)
@@ -488,14 +484,15 @@ def _inner(u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> Gaus
 
 
 def match_unitary(
-    F: Sequence[Sequence], G: Sequence[Sequence], tol: float = 1e-10
+    F: Sequence[Sequence], G: Sequence[Sequence]
 ) -> Union[UnitaryBlock, GramMismatch]:
     """Find a block unitary with U G_m = F_m for all m, or report the first
     Gram discrepancy proving none exists.
 
     Gram equality is tested exactly.  The block is exact whenever the matched
     vectors are already pairwise orthogonal with matching spans; otherwise it
-    is produced by floating orthonormalization with residuals below ``tol``."""
+    is produced by floating orthonormalization with residuals below
+    ``UNITARY_TOL``."""
     if len(F) != len(G):
         raise DimensionMismatch("vector lists must have equal length")
     M = len(F)
@@ -524,7 +521,7 @@ def match_unitary(
         block = _exact_orthogonal_match(Fx, Gx, nz, s)
         if block is not None:
             return block
-    return _float_match(Fx, Gx, s, tol)
+    return _float_match(Fx, Gx, s)
 
 
 def _exact_orthogonal_match(Fx, Gx, nz, s) -> Optional[UnitaryBlock]:
@@ -557,10 +554,10 @@ def _exact_orthogonal_match(Fx, Gx, nz, s) -> Optional[UnitaryBlock]:
     return block
 
 
-def _float_match(Fx, Gx, s, tol) -> UnitaryBlock:
+def _float_match(Fx, Gx, s) -> UnitaryBlock:
     """Gram-Schmidt on the G_m with the F_m carried along, each side's
     orthonormal set completed from the unit vectors, and U the sum of the
-    outer products of partners; both checks are against ``tol``."""
+    outer products of partners; both checks are against ``UNITARY_TOL``."""
 
     def vdot(u, v):
         return sum((a.conjugate() * b for a, b in zip(u, v)), 0j)
@@ -600,12 +597,12 @@ def _float_match(Fx, Gx, s, tol) -> UnitaryBlock:
     pairs = list(zip(qg + complete(qg), qf + complete(qf)))
     U = [[sum((bf[i] * bg[j].conjugate() for bg, bf in pairs), 0j) for j in range(s)]
          for i in range(s)]
-    block = UnitaryBlock(s, U, "floating", tol)
-    if block.unitarity_defect() > tol:
+    block = UnitaryBlock(s, U, "floating", UNITARY_TOL)
+    if block.unitarity_defect() > UNITARY_TOL:
         raise ExactnessError("floating unitary construction exceeded tolerance")
     worst = max((abs(a - complex(b)) for g, f in zip(Gx, Fx) for a, b in zip(block.apply(g), f)),
                 default=0.0)
-    if worst > tol:
+    if worst > UNITARY_TOL:
         raise ExactnessError("floating unitary does not match the vectors within tolerance")
     return block
 

@@ -6,6 +6,7 @@ in the production kernels cannot hide from the comparisons."""
 
 from fractions import Fraction
 import itertools
+import math
 import random
 
 import pytest
@@ -138,6 +139,31 @@ def oracle_curve_pullback(full_pairs: dict, components: list) -> dict:
             for (b,), cb in zK.items():
                 key = (a, b)
                 out[key] = out.get(key, ZERO) + c * ca * cb.conjugate()
+    return {k: v for k, v in out.items() if v}
+
+
+def oracle_base_expansion(pairs: dict, base: list, precision: int) -> dict:
+    """{(A, B): coefficient of w^A wbar^B} of sum c (w+p)^J conj(w+p)^K over
+    a (J, K)->c map, by the binomial theorem in each variable, cut at total
+    degree ``precision``."""
+
+    def binomial_terms(e, p):
+        """[(a, C(e, a) p^(e-a))] for the powers w^a of (w + p)^e."""
+        return [(a, g(math.comb(e, a)) * p ** (e - a)) for a in range(e + 1)]
+
+    out = {}
+    for (J, K), c in pairs.items():
+        zs = [binomial_terms(e, p) for e, p in zip(J, base)]
+        zbars = [binomial_terms(e, p.conjugate()) for e, p in zip(K, base)]
+        for A in itertools.product(*zs):
+            for B in itertools.product(*zbars):
+                if sum(a for a, _ in A) + sum(b for b, _ in B) > precision:
+                    continue
+                v = c
+                for _, x in A + B:
+                    v = v * x
+                key = (tuple(a for a, _ in A), tuple(b for b, _ in B))
+                out[key] = out.get(key, ZERO) + v
     return {k: v for k, v in out.items() if v}
 
 

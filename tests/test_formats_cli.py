@@ -15,7 +15,7 @@ from germforge.ideals import IdealPresentation
 from germforge.pipeline import BUNDLE_HEADER
 from germforge.series import FormalCurve, TruncSeries
 
-from conftest import g, hermitian, mono, random_real_form, series, uni
+from conftest import g, hermitian, mono, oracle_base_expansion, random_real_form, series, uni
 
 WITNESS_FORM = """# defining form with an infinite-type direction
 vars 3; N=60;
@@ -73,6 +73,41 @@ def test_parse_base_point_translation():
     assert direct.coeff((1,), (0,)) == ONE
     assert direct.coeff((0,), (1,)) == ONE
     assert direct.coeff((0,), (0,)) == ONE - ONE
+
+
+def test_parse_complex_base_point_conjugates_it_once():
+    # r = |z1|^2 - 1 vanishes at i; around it, |w + i|^2 - 1 = |w|^2 - i w + i wbar
+    r = formats.parse_hermitian("vars 1; N=4; base i;\n+ z1 zbar1 - 1;")
+    assert formats.format_hermitian(r) == "i*zbar1 - i*z1 + z1*zbar1"
+
+
+# (loader, text, message, line, column) of malformed ASCII inputs
+PARSE_ERRORS = [
+    ("parse_hermitian", "vars 2; N=8;\n+ z1 @ zbar1;", "unexpected character '@'", 2, 6),
+    ("parse_hermitian", "vars 2; N=8;\n+ 1 z1^^2", "expected an exponent, found '^'", 2, 8),
+    ("parse_hermitian", "vars 1; N=4;\n+ 2/0 z1 zbar1;", "zero denominator", 2, 7),
+    ("parse_hermitian", "vars 2; N=4;\n+ z0 zbar1;", "variable index 0 outside 1..2", 2, 3),
+    ("parse_hermitian", "vars 2; N=4;\n+ z1 zbar3;", "variable index 3 outside 1..2", 2, 6),
+    ("parse_hermitian", "vars 2; N=4;\n+ z3;", "variable index 3 outside 1..2", 2, 3),
+    ("parse_series", "vars 2; N=4;\n+ z1 t;", "variable t only appears in univariate series", 2, 6),
+    ("parse_series", "vars 1; N=4;\n+ tbzz;", "empty term", 2, 3),
+    ("parse_hermitian", "vars 1; N=4;\n+ z1 zbar;", "expected end of file, found 'zbar'", 2, 6),
+    ("parse_curve", "vars 1; N=4;\nzbar1 = t;", "expected a component name, found 'zbar1'", 2, 1),
+    ("parse_curve", "vars 1; N=4;\nt = t;", "expected a component name, found 't'", 2, 1),
+    # a comment takes no columns: the end of file is reported at its '#'
+    ("parse_series", "vars 1; N=4 # precision", "expected ;, found None", 1, 13),
+    ("parse_hermitian", "vars 2; N=4; base 1;\n+ z1 zbar1;", "expected a base-point coordinate", 1, 20),
+    ("parse_series", "vars 1; N=4;\n+ (1+i t;", "expected ), found 't'", 2, 8),
+    ("parse_series", "vars 1; N=4;\n+ (1+i", "expected ), found None", 2, 7),
+]
+
+
+@pytest.mark.parametrize("loader, text, message, line, column", PARSE_ERRORS)
+def test_parse_errors_keep_their_text_and_location(loader, text, message, line, column):
+    with pytest.raises(ParseError) as e:
+        getattr(formats, loader)(text)
+    assert (str(e.value), e.value.line, e.value.column) == (
+        f"line {line}, column {column}: {message}", line, column)
 
 
 def test_parse_ideal_with_normal_form():
@@ -159,6 +194,27 @@ def test_hermitian_roundtrip_random():
 def test_curve_roundtrip():
     c = FormalCurve([uni(12, {3: ONE, 5: g(-2, 1)}), uni(12, {2: g(1, -1)})])
     assert formats.parse_curve(formats.format_curve(c)) == c
+
+
+def _with_base(text: str, base) -> str:
+    """``text`` (a file whose first line is its header) with a base-point
+    declaration added to the header."""
+    return text.replace(";\n", "; base " + " ".join(c.literal() for c in base) + ";\n", 1)
+
+
+@given(st.integers(0, 10**6), series_strategy(), st.lists(gauss_strategy(), min_size=3, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_base_point_expansion_matches_the_binomial_oracle(seed, s, point):
+    rng = random.Random(seed)
+    nvars = rng.choice([1, 2, 3])
+    r = random_real_form(rng, nvars, 5, 7)
+    got = formats.parse_hermitian(_with_base(formats.format_hermitian_file(r), point[:nvars]))
+    assert got == hermitian(nvars, 7, oracle_base_expansion(r.full_map(), point[:nvars], 7))
+    zero = (0,) * s.nvars
+    pairs = {(J, zero): c for J, c in s.coeffs.items()}
+    expanded = oracle_base_expansion(pairs, point[:s.nvars], s.precision)
+    got = formats.parse_series(_with_base(formats.format_series_file(s), point[:s.nvars]))
+    assert got == series(s.nvars, s.precision, {J: c for (J, _), c in expanded.items()})
 
 
 def test_block_embedding_roundtrip():
@@ -260,6 +316,19 @@ def test_cli_search_rejects_form_off_the_hypersurface(workdir, capsys):
     captured = capsys.readouterr()
     assert "must vanish at the base point" in captured.err
     assert "ratio" not in captured.out
+
+
+@pytest.mark.parametrize("term, column, char", [("z1\u00b2 zbar1^2", 5, "\u00b2"),
+                                                 ("\u0663 z1 zbar1", 3, "\u0663")])
+def test_cli_search_rejects_non_ascii_characters(workdir, capsys, term, column, char):
+    """The grammar is ASCII: a superscript two or an Arabic-Indic three is an
+    unexpected character, not a digit."""
+    form = workdir / "unicode.germ"
+    form.write_text(f"vars 2; N=6;\n+ {term};\n", encoding="utf-8")
+    assert main(["search", str(form)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 2, column {column}: unexpected character {char!r}\n"
+    assert captured.out == ""
 
 
 def test_cli_missing_file(workdir, capsys):
